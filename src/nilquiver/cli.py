@@ -85,19 +85,28 @@ def _cmd_enumerate(args) -> int:
 
 
 def _label_from_payload(fmt: str, payload: dict, ell: int | None) -> OrbitLabel:
+    """Parse a label in the given format; any malformed shape raises ValueError."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{fmt} input must be a JSON object, not {type(payload).__name__}")
+    if fmt == "johnson" and ell is None:
+        raise ValueError("--ell is required for striped input")
+    try:
+        if fmt == "ah":
+            mu, nu = Partition(payload["mu"]), Partition(payload["nu"])
+        elif fmt == "johnson":
+            striped = StripedBipartition.from_json(payload, ell)
+        elif fmt == "label":
+            return OrbitLabel.from_json(payload)
+        else:
+            raise ValueError(f"unknown format {fmt!r}")
+    except KeyError as exc:
+        raise ValueError(f"{fmt} input lacks the key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed {fmt} input: {exc}") from exc
     if fmt == "ah":
-        mu = Partition(payload["mu"])
-        nu = Partition(payload["nu"])
         eta, zeta = bipartition_to_label(mu, nu)
         return OrbitLabel(eta, Multipartition((zeta,)))
-    if fmt == "johnson":
-        if ell is None:
-            raise ValueError("--ell is required for striped input")
-        striped = StripedBipartition.from_json(payload, ell)
-        return striped_label(striped)
-    if fmt == "label":
-        return OrbitLabel.from_json(payload)
-    raise ValueError(f"unknown format {fmt!r}")
+    return striped_label(striped)
 
 
 def _label_to_payload(fmt: str, label: OrbitLabel) -> dict:

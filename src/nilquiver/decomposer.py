@@ -4,8 +4,11 @@ The unframed part of a representation is recovered from ranks of path
 composites (a telescoping count of chain multiplicities).  The framed
 indecomposable summand is identified by enumerating the finitely many
 candidate labels compatible with those multiplicities and certifying the
-unique match through hom-space dimensions against the candidates' framed
-indecomposables; the one-vertex case also has a direct route through the
+unique match through hom-space dimensions from the candidates' framed
+indecomposables.  Linear algebra runs only on the input: each candidate's
+canonical representative is a direct sum of chains, so its hom dimensions
+are counted from hook data (``_label_fingerprint``) without building a
+matrix.  The one-vertex case also has a direct route through the
 centralizer invariant of a marked Jordan matrix.
 
 Everything is computed over exact rationals; an answer is either certified
@@ -16,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .linalg import RationalMatrix, from_columns
 from .orbit_maps import bipartition_to_label
 from .partitions import Bipartition, FrobeniusPartition, Multipartition, Partition
-from .rep_builder import QuiverRep, build_label_rep
+from .rep_builder import QuiverRep, build_label_rep, label_chains
 from .residues import OrbitLabel, run_vector
 
 
@@ -129,15 +131,22 @@ def framed_jordan_type(v: tuple, x: RationalMatrix) -> Bipartition:
 
 
 def _path_ranks(rep: QuiverRep, max_length: int) -> dict[tuple[int, int], int]:
+    """Rank of the composite of L arrows from vertex i, for L <= max_length.
+
+    Once a composite vanishes every longer one from that vertex does too, so
+    no product is formed past it.
+    """
     ranks: dict[tuple[int, int], int] = {}
     for i in range(rep.ell):
         composite = RationalMatrix.identity(rep.dims.main[i])
-        ranks[(i, 0)] = rep.dims.main[i]
+        rank = ranks[(i, 0)] = rep.dims.main[i]
         at = i
         for length in range(1, max_length + 1):
-            composite = rep.maps[at] @ composite
-            at = (at + 1) % rep.ell
-            ranks[(i, length)] = composite.rank()
+            if rank:
+                composite = rep.maps[at] @ composite
+                at = (at + 1) % rep.ell
+                rank = composite.rank()
+            ranks[(i, length)] = rank
     return ranks
 
 
@@ -363,11 +372,46 @@ def _candidate_labels(ell: int, mult: dict[tuple[int, int], int]) -> list[OrbitL
     return found
 
 
-@lru_cache(maxsize=None)
-def _reference_fingerprint(label: OrbitLabel, probes: tuple[Partition, ...]) -> tuple[int, ...]:
-    rep = build_label_rep(label)
-    probing = _HomProbing(rep)
-    return tuple(probing.framed_hom(lam) for lam in probes)
+def _label_fingerprint(label: OrbitLabel, probes: tuple[Partition, ...]) -> tuple[int, ...]:
+    """``_HomProbing(build_label_rep(label)).framed_hom`` of every probe,
+    counted from chain positions instead of linear algebra.
+
+    In the canonical representative each arrow moves a chain's basis vector
+    at offset k to offset k+1, or to zero at the chain's end.  For a probe
+    hook (leg, arm) starting at s = -arm mod ell with L = leg+arm+1:
+
+    * the kernel of the L-step path from s is spanned by the positions at
+      vertex s whose remaining length r (chain length minus offset) is at
+      most L;
+    * the arm-step path sends such a position arm offsets on if r > arm,
+      and to zero otherwise;
+    * the framing vector is the sum of the marked positions, so it lies in
+      the span of the images exactly when every marked position is one.
+
+    Hence the hom dimension is the number of kernel vectors plus one, minus
+    the number of distinct images, minus one if some mark is not an image
+    (W. Crawley-Boevey, J. Algebra 126 (1989), for maps between string
+    modules).
+    """
+    ell = label.ell
+    chains = label_chains(label)
+    marks = {(c, mark) for c, (_, _, mark) in enumerate(chains) if mark is not None}
+    fingerprint = []
+    for lam in probes:
+        f = lam.frobenius()
+        kernel = 0
+        images: set[tuple[int, int]] = set()
+        for leg, arm in zip(f.legs, f.arms):
+            s = (-arm) % ell
+            reach = leg + arm + 1
+            for c, (start, length, _) in enumerate(chains):
+                # first offset at vertex s whose remaining length is <= reach
+                low = max(0, length - reach)
+                first = low + (s - start - low) % ell
+                kernel += len(range(first, length, ell))
+                images.update((c, k + arm) for k in range(first, length - arm, ell))
+        fingerprint.append(kernel + 1 - len(images) - (not marks <= images))
+    return tuple(fingerprint)
 
 
 def decompose_enhanced(rep: QuiverRep, method: str = "auto") -> Decomposition:
@@ -410,7 +454,7 @@ def decompose_enhanced(rep: QuiverRep, method: str = "auto") -> Decomposition:
     probes = tuple(sorted({c.lam for c in candidates}, key=lambda p: p.parts))
     probing = _HomProbing(rep)
     fingerprint = tuple(probing.framed_hom(lam) for lam in probes)
-    matches = [c for c in candidates if _reference_fingerprint(c, probes) == fingerprint]
+    matches = [c for c in candidates if _label_fingerprint(c, probes) == fingerprint]
     if len(matches) > 1:
         matches = _refine_matches(rep, matches)
     if not matches:

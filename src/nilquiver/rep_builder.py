@@ -84,10 +84,6 @@ class QuiverRep:
         """Once around the cycle, based at vertex 0."""
         return self.path_map(0, self.ell)
 
-    def is_nilpotent(self) -> bool:
-        d0 = self.dims.main[0]
-        return self.cycle_map().power(d0).is_zero()
-
     def nilpotency_degree(self) -> int:
         """Smallest e with cycle^e = 0; raises if the cycle is not nilpotent."""
         d0 = self.dims.main[0]
@@ -117,18 +113,27 @@ class QuiverRep:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuiverRep":
-        dims = DimensionVector.from_json(data["dims"])
-        ell = int(data["ell"])
-        main = dims.main
-        maps = []
-        for i, rows in enumerate(data["maps"]):
-            nrows = main[(i + 1) % ell]
-            ncols = main[i]
-            m = RationalMatrix(tuple(tuple(as_fraction(x) for x in row) for row in rows), ncols)
-            if m.nrows != nrows:
-                raise ValueError(f"arrow {i} has {m.nrows} rows, expected {nrows}")
-            maps.append(m)
-        return cls(ell, dims, tuple(maps), tuple(as_fraction(x) for x in data["framing_vector"]))
+        """Parse the ``to_json`` form; any other shape raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"representation JSON must be an object, not {type(data).__name__}")
+        try:
+            dims = DimensionVector.from_json(data["dims"])
+            ell = int(data["ell"])
+            main = dims.main
+            maps = []
+            for i, rows in enumerate(data["maps"]):
+                nrows = main[(i + 1) % ell]
+                ncols = main[i]
+                m = RationalMatrix(tuple(tuple(as_fraction(x) for x in row) for row in rows), ncols)
+                if m.nrows != nrows:
+                    raise ValueError(f"arrow {i} has {m.nrows} rows, expected {nrows}")
+                maps.append(m)
+            framing = tuple(as_fraction(x) for x in data["framing_vector"])
+        except KeyError as exc:
+            raise ValueError(f"representation JSON lacks the key {exc}") from exc
+        except (TypeError, IndexError) as exc:
+            raise ValueError(f"malformed representation JSON: {exc}") from exc
+        return cls(ell, dims, tuple(maps), framing)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +204,10 @@ def build_framed(lam: Partition, ell: int) -> QuiverRep:
     return rep
 
 
-def build_label_rep(label: OrbitLabel) -> QuiverRep:
-    """Canonical representative of an orbit label: the framed indecomposable
-    of its partition plus one unframed chain per multipartition part."""
+def label_chains(label: OrbitLabel) -> list[tuple[int, int, int | None]]:
+    """The chains (start, length, mark offset or None) of a label's canonical
+    representative: one marked chain per Frobenius hook of its partition,
+    then one unmarked chain per multipartition part."""
     ell = label.ell
     f = label.lam.frobenius()
     chains: list[tuple[int, int, int | None]] = [
@@ -210,7 +216,13 @@ def build_label_rep(label: OrbitLabel) -> QuiverRep:
     for i, comp in enumerate(label.nu):
         for length in comp:
             chains.append((i, length, None))
-    return _assemble(ell, chains, framed=True)
+    return chains
+
+
+def build_label_rep(label: OrbitLabel) -> QuiverRep:
+    """Canonical representative of an orbit label: the framed indecomposable
+    of its partition plus one unframed chain per multipartition part."""
+    return _assemble(label.ell, label_chains(label), framed=True)
 
 
 def build_framed_jordan(mu: Partition, nu: Partition) -> QuiverRep:
@@ -264,12 +276,6 @@ def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
     else:
         fv = ()
     return QuiverRep(a.ell, dims, maps, fv)
-
-
-def zero_rep(ell: int, framed: bool = False) -> QuiverRep:
-    dims = DimensionVector(1 if framed else 0, (0,) * ell)
-    maps = tuple(RationalMatrix.zero(0, 0) for _ in range(ell))
-    return QuiverRep(ell, dims, maps, ())
 
 
 # ---------------------------------------------------------------------------

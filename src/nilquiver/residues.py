@@ -90,10 +90,6 @@ class DimensionVector:
         return cls(int(data["framing"]), tuple(int(x) for x in data["main"]))
 
 
-def zero_vector(ell: int) -> DimensionVector:
-    return DimensionVector(0, (0,) * ell)
-
-
 def delta(ell: int, n: int = 1) -> DimensionVector:
     """n copies of the minimal imaginary root (n at every cycle vertex)."""
     return DimensionVector(0, (n,) * ell)

@@ -113,6 +113,27 @@ def test_decompose_rejects_malformed_json():
     assert code == 2
 
 
+def test_decompose_rejects_missing_keys():
+    code, _, err = run_cli(["decompose", "--input", "-"], json.dumps({"ell": 1}))
+    assert code == 2
+    assert "error" in err and "dims" in err and "Traceback" not in err
+
+
+def test_decompose_rejects_non_object_json():
+    code, _, err = run_cli(["decompose", "--input", "-"], json.dumps([1, 2]))
+    assert code == 2
+    assert "error" in err and "Traceback" not in err
+
+
+def test_translate_ah_rejects_missing_keys():
+    code, _, err = run_cli(
+        ["translate", "--from", "ah", "--to", "label", "--input", "-"],
+        json.dumps({"mu": [2, 1]}),
+    )
+    assert code == 2
+    assert "error" in err and "nu" in err and "Traceback" not in err
+
+
 def test_render_partition(capsys):
     assert main(["render", "--partition", "[1]", "--format", "ascii"]) == 0
     assert capsys.readouterr().out.strip() == "[]"

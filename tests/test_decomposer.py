@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilquiver import (
     Bipartition,
@@ -33,7 +34,7 @@ from nilquiver import (
     striped_label,
 )
 from nilquiver.linalg import RationalMatrix
-from nilquiver.rep_builder import random_invertible
+from nilquiver.rep_builder import QuiverRep, random_invertible
 
 P = Partition
 
@@ -206,6 +207,44 @@ def test_fast_framed_probing_agrees_with_the_linear_system():
                 )
 
 
+def test_label_fingerprint_matches_linear_algebra():
+    # the closed-form candidate fingerprint against the probes of the built
+    # representative, over every label and probe partition of each cone
+    from nilquiver.decomposer import _HomProbing, _label_fingerprint
+
+    for ell, top in [(1, 6), (2, 3), (3, 2), (4, 2)]:
+        for n in range(top + 1):
+            labels = enumerate_orbit_labels(n, ell)
+            probes = tuple(sorted({l.lam for l in labels}, key=lambda p: p.parts))
+            for label in labels:
+                probing = _HomProbing(build_label_rep(label))
+                want = tuple(probing.framed_hom(lam) for lam in probes)
+                assert _label_fingerprint(label, probes) == want, label
+
+
+def test_label_fingerprint_separates_candidates():
+    # for each chain multiset of the cone, the candidates the decomposer
+    # enumerates must have pairwise distinct fingerprints
+    from collections import Counter
+
+    from nilquiver.decomposer import _candidate_labels, _label_fingerprint
+    from nilquiver.rep_builder import label_chains
+
+    for ell, n in [(1, 10), (2, 5), (3, 4), (4, 3), (5, 2)]:
+        seen = set()
+        for label in enumerate_orbit_labels(n, ell):
+            mult = Counter((start, length) for start, length, _ in label_chains(label))
+            key = frozenset(mult.items())
+            if key in seen:
+                continue
+            seen.add(key)
+            candidates = _candidate_labels(ell, dict(mult))
+            assert label in candidates
+            probes = tuple(sorted({c.lam for c in candidates}, key=lambda p: p.parts))
+            prints = {_label_fingerprint(c, probes) for c in candidates}
+            assert len(prints) == len(candidates), label
+
+
 def test_decompose_constructed_sum():
     rep = direct_sum(build_framed(P([4, 2]), 1), build_chain(0, 3, 1))
     out = decompose_enhanced(rep)
@@ -270,6 +309,31 @@ def test_decompose_identity_on_all_labels_after_base_change():
         for label in enumerate_orbit_labels(n, ell):
             rep = random_base_change(build_label_rep(label), rng)
             assert decompose_enhanced(rep).label() == label
+
+
+RESCALE_LABELS = [
+    label
+    for n, ell in [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (1, 2), (2, 2), (1, 3), (2, 3)]
+    for label in enumerate_orbit_labels(n, ell)
+]
+NON_UNIT = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(
+    lambda q: q not in (-1, 0, 1)
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(label=st.sampled_from(RESCALE_LABELS), seed=st.integers(0, 2**16), data=st.data())
+def test_decompose_survives_rational_rescaling(label, seed, data):
+    # scaling an arrow or the framing vector by a nonzero rational keeps the
+    # orbit: in a chain basis it is undone by rescaling each chain's vectors
+    rep = random_base_change(build_label_rep(label), random.Random(seed))
+    factors = data.draw(st.lists(NON_UNIT, min_size=label.ell + 1, max_size=label.ell + 1))
+    maps = tuple(m.scale(c) for m, c in zip(rep.maps, factors))
+    framing = tuple(factors[-1] * x for x in rep.framing_vector)
+    scaled = QuiverRep(rep.ell, rep.dims, maps, framing)
+    methods = ("invariant", "fingerprint") if label.ell == 1 else ("fingerprint",)
+    for method in methods:
+        assert decompose_enhanced(scaled, method=method).label() == label
 
 
 def test_one_vertex_multiplicities_agree_with_jordan_type():
