@@ -6,9 +6,7 @@ Run with:  python3 demos/01_partitions_and_diagrams.py
 from nilquiver import (
     Partition,
     frobenius_diagram_of_partition,
-    partition_of_frobenius_diagram,
     to_ascii,
-    weight_of_diagram,
 )
 
 lam = Partition([7, 5, 3, 2, 1])
@@ -32,5 +30,5 @@ ell = 3
 diagram = frobenius_diagram_of_partition(lam, ell)
 print(f"marked circle diagram of {lam} at ell={ell}:")
 print(to_ascii(diagram))
-print(f"diagram weight: {weight_of_diagram(diagram)} (= partition weight {lam.weight(ell)})")
-print(f"back to the partition: {partition_of_frobenius_diagram(diagram)}")
+print(f"diagram weight: {diagram.weight()} (= partition weight {lam.weight(ell)})")
+print(f"back to the partition: {diagram.partition()}")

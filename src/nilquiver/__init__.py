@@ -19,7 +19,6 @@ from .partitions import (
     enumerate_bipartitions,
     enumerate_multipartitions,
     enumerate_partitions,
-    partition_of,
 )
 from .residues import (
     DimensionVector,
@@ -44,11 +43,9 @@ from .circle_diagrams import (
     diagram_from_json,
     diagram_of_coloured_partition,
     frobenius_diagram_of_partition,
-    partition_of_frobenius_diagram,
     to_ascii,
     to_dot,
     from_dot,
-    weight_of_diagram,
 )
 from .orbit_maps import (
     StripedBipartition,

@@ -188,14 +188,6 @@ def frobenius_diagram_of_partition(lam: Partition, ell: int) -> FrobeniusCircleD
     return FrobeniusCircleDiagram(ell, circles)
 
 
-def partition_of_frobenius_diagram(diagram: FrobeniusCircleDiagram) -> Partition:
-    return diagram.partition()
-
-
-def weight_of_diagram(diagram: FrobeniusCircleDiagram) -> int:
-    return diagram.weight()
-
-
 def bounded_circle_diagrams(
     ell: int,
     d: DimensionVector,

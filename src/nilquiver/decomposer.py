@@ -5,11 +5,13 @@ composites (a telescoping count of chain multiplicities).  The framed
 indecomposable summand is identified by enumerating the finitely many
 candidate labels compatible with those multiplicities and certifying the
 unique match through hom-space dimensions from the candidates' framed
-indecomposables.  Linear algebra runs only on the input: each candidate's
-canonical representative is a direct sum of chains, so its hom dimensions
-are counted from hook data (``_label_fingerprint``) without building a
-matrix.  The one-vertex case also has a direct route through the
-centralizer invariant of a marked Jordan matrix.
+indecomposables.  Linear algebra runs only on the input, whose path
+composites are formed once each in one table (``_PathComposites``) that
+serves the path ranks, the nilpotency certificate and the probe kernels.
+Each candidate's canonical representative is a direct sum of chains, so
+its hom dimensions are counted from hook data (``_label_fingerprint``)
+without building a matrix.  The centralizer invariant of a marked Jordan
+matrix is an independent one-vertex route, kept as a test oracle.
 
 Everything is computed over exact rationals; an answer is either certified
 or an error is raised, never silently guessed.
@@ -23,7 +25,7 @@ from fractions import Fraction
 from .linalg import RationalMatrix, from_columns
 from .orbit_maps import bipartition_to_label
 from .partitions import Bipartition, FrobeniusPartition, Multipartition, Partition
-from .rep_builder import QuiverRep, build_label_rep, label_chains
+from .rep_builder import QuiverRep, label_chains
 from .residues import OrbitLabel, run_vector
 
 
@@ -130,46 +132,76 @@ def framed_jordan_type(v: tuple, x: RationalMatrix) -> Bipartition:
 # ---------------------------------------------------------------------------
 
 
-def _path_ranks(rep: QuiverRep, max_length: int) -> dict[tuple[int, int], int]:
-    """Rank of the composite of L arrows from vertex i, for L <= max_length.
+class _PathComposites:
+    """The path composites of one representation, each formed at most once.
 
-    Once a composite vanishes every longer one from that vertex does too, so
-    no product is formed past it.
+    From each start vertex the composites of 0, 1, 2, ... arrows are built
+    on demand, one product per length, and ranked.  Once a composite
+    vanishes every longer one from that vertex does too, so no product is
+    formed past it.
     """
-    ranks: dict[tuple[int, int], int] = {}
-    for i in range(rep.ell):
-        composite = RationalMatrix.identity(rep.dims.main[i])
-        rank = ranks[(i, 0)] = rep.dims.main[i]
-        at = i
-        for length in range(1, max_length + 1):
-            if rank:
-                composite = rep.maps[at] @ composite
-                at = (at + 1) % rep.ell
-                rank = composite.rank()
-            ranks[(i, length)] = rank
-    return ranks
+
+    def __init__(self, rep: QuiverRep):
+        self.rep = rep
+        self._rows: dict[int, list[tuple[RationalMatrix, int]]] = {}
+
+    def _row(self, start: int, length: int) -> list[tuple[RationalMatrix, int]]:
+        """(composite, rank) per length from ``start``, up to ``length`` or
+        to the first zero composite."""
+        row = self._rows.get(start)
+        if row is None:
+            identity = RationalMatrix.identity(self.rep.dims.main[start])
+            row = self._rows[start] = [(identity, identity.nrows)]
+        while len(row) <= length and row[-1][1]:
+            at = (start + len(row) - 1) % self.rep.ell
+            composite = self.rep.maps[at] @ row[-1][0]
+            row.append((composite, composite.rank()))
+        return row
+
+    def path(self, start: int, length: int) -> RationalMatrix:
+        """Composite of ``length`` arrows beginning at ``start``."""
+        row = self._row(start, length)
+        if length < len(row):
+            return row[length][0]
+        main = self.rep.dims.main
+        return RationalMatrix.zero(main[(start + length) % self.rep.ell], main[start])
+
+    def rank(self, start: int, length: int) -> int:
+        row = self._row(start, length)
+        return row[length][1] if length < len(row) else 0
 
 
-def chain_multiplicities(rep: QuiverRep) -> dict[tuple[int, int], int]:
-    """Multiplicity of each chain summand (start, length) of the unframed part.
+def _plain_parts(ell: int, mult: dict[tuple[int, int], int]) -> Multipartition:
+    """Chain lengths grouped by start vertex."""
+    comps: list[list[int]] = [[] for _ in range(ell)]
+    for (i, length), m in mult.items():
+        comps[i].extend([length] * m)
+    return Multipartition(tuple(Partition(sorted(c, reverse=True)) for c in comps))
 
-    Telescoping rank count: with r(i, L) the rank of the composite of L
-    arrows from vertex i, the chain (i, N) appears
-    r(i, N-1) - r(i, N) - r(i-1, N) + r(i-1, N+1) times.
-    """
+
+def _multiplicities(paths: _PathComposites) -> dict[tuple[int, int], int]:
+    """``chain_multiplicities`` from a representation's composite table."""
+    rep = paths.rep
     total = rep.dims.total
     ell = rep.ell
     if total == 0:
         return {}
-    ranks = _path_ranks(rep, total + 1)
+    # every chain has at most `total` vectors, so a nilpotent input kills
+    # each composite of `total` arrows; otherwise the cycle is not nilpotent
+    for i in range(ell):
+        if paths.rank(i, total):
+            raise ValueError(
+                f"cycle map is not nilpotent: the composite of {total} arrows "
+                f"from vertex {i} has rank {paths.rank(i, total)}"
+            )
     mult: dict[tuple[int, int], int] = {}
     for i in range(ell):
         for length in range(1, total + 1):
             m = (
-                ranks[(i, length - 1)]
-                - ranks[(i, length)]
-                - ranks[((i - 1) % ell, length)]
-                + ranks[((i - 1) % ell, length + 1)]
+                paths.rank(i, length - 1)
+                - paths.rank(i, length)
+                - paths.rank((i - 1) % ell, length)
+                + paths.rank((i - 1) % ell, length + 1)
             )
             if m < 0:
                 raise ValueError(
@@ -187,13 +219,20 @@ def chain_multiplicities(rep: QuiverRep) -> dict[tuple[int, int], int]:
     return mult
 
 
+def chain_multiplicities(rep: QuiverRep) -> dict[tuple[int, int], int]:
+    """Multiplicity of each chain summand (start, length) of the unframed part.
+
+    Telescoping rank count: with r(i, L) the rank of the composite of L
+    arrows from vertex i, the chain (i, N) appears
+    r(i, N-1) - r(i, N) - r(i-1, N) + r(i-1, N+1) times.  Raises when the
+    cycle map is not nilpotent.
+    """
+    return _multiplicities(_PathComposites(rep))
+
+
 def cyclic_multiplicities(rep: QuiverRep) -> Multipartition:
     """Chain lengths of the unframed part grouped by start vertex."""
-    mult = chain_multiplicities(rep)
-    comps: list[list[int]] = [[] for _ in range(rep.ell)]
-    for (i, length), m in mult.items():
-        comps[i].extend([length] * m)
-    return Multipartition(tuple(Partition(sorted(c, reverse=True)) for c in comps))
+    return _plain_parts(rep.ell, chain_multiplicities(rep))
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +290,13 @@ class _HomProbing:
 
     def __init__(self, target: QuiverRep):
         self.target = target
+        self.paths = _PathComposites(target)
         self._kernels: dict[tuple[int, int], list[tuple]] = {}
-        self._paths: dict[tuple[int, int], RationalMatrix] = {}
-
-    def _path(self, start: int, length: int) -> RationalMatrix:
-        key = (start, length)
-        if key not in self._paths:
-            if length == 0:
-                self._paths[key] = RationalMatrix.identity(self.target.dims.main[start])
-            else:
-                shorter = self._path(start, length - 1)
-                at = (start + length - 1) % self.target.ell
-                self._paths[key] = self.target.maps[at] @ shorter
-        return self._paths[key]
 
     def _kernel(self, start: int, length: int) -> list[tuple]:
         key = (start, length)
         if key not in self._kernels:
-            self._kernels[key] = self._path(start, length).nullspace()
+            self._kernels[key] = self.paths.path(start, length).nullspace()
         return self._kernels[key]
 
     def chain_hom(self, start: int, length: int) -> int:
@@ -287,9 +315,9 @@ class _HomProbing:
             length = leg + arm + 1
             kernel = self._kernel(start, length)
             dims_sum += len(kernel)
-            mark_path = self._path(start, arm)
-            for w in kernel:
-                columns.append(mark_path.apply(w))
+            if self.paths.rank(start, arm):
+                mark_path = self.paths.path(start, arm)
+                columns.extend(mark_path.apply(w) for w in kernel)
         columns.append(tuple(-x for x in self.target.framing_vector))
         d0 = self.target.dims.main[0]
         rank = from_columns(columns, d0).rank()
@@ -345,12 +373,8 @@ def _candidate_labels(ell: int, mult: dict[tuple[int, int], int]) -> list[OrbitL
         for length, arm in hooks:
             key = ((-arm) % ell, length)
             used[key] = used.get(key, 0) + 1
-        comps: list[list[int]] = [[] for _ in range(ell)]
-        for (i, length), m in mult.items():
-            rest = m - used.get((i, length), 0)
-            comps[i].extend([length] * rest)
-        nu = Multipartition(tuple(Partition(sorted(c, reverse=True)) for c in comps))
-        found.append(OrbitLabel(lam, nu))
+        rest = {key: m - used.get(key, 0) for key, m in mult.items()}
+        found.append(OrbitLabel(lam, _plain_parts(ell, rest)))
 
     def rec(idx: int, prev_arm: int, prev_leg: int, hooks: list[tuple[int, int]]):
         if idx == len(lengths):
@@ -414,68 +438,50 @@ def _label_fingerprint(label: OrbitLabel, probes: tuple[Partition, ...]) -> tupl
     return tuple(fingerprint)
 
 
-def decompose_enhanced(rep: QuiverRep, method: str = "auto") -> Decomposition:
+def decompose_enhanced(rep: QuiverRep, method: str = "fingerprint") -> Decomposition:
     """Decompose a nilpotent representation into its canonical label.
 
-    ``method`` is "fingerprint" (candidate labels certified by hom
-    dimensions), "invariant" (one-vertex only: the centralizer invariant of
-    the marked Jordan matrix, then the removable-row translation), or
-    "auto", which takes the invariant route for small one-vertex inputs and
-    fingerprints everything else.  Both routes are exact and agree; the
-    test suite cross-checks them.
+    ``method`` is "fingerprint", the one production route: chain
+    multiplicities from path ranks, then the candidate labels they allow,
+    certified by hom dimensions from the candidates' framed parts.
+    "invariant" (one-vertex only: the centralizer invariant of the marked
+    Jordan matrix, then the removable-row translation) is an independent
+    oracle that the test suite cross-checks against it.  A non-nilpotent
+    input raises ValueError; a tie between candidates raises AssertionError.
     """
-    if method not in ("auto", "fingerprint", "invariant"):
+    if method not in ("fingerprint", "invariant"):
         raise ValueError(f"unknown method {method!r}")
     if not rep.framed:
         if method == "invariant":
             raise ValueError("the invariant route needs a framed input")
         return Decomposition(None, cyclic_multiplicities(rep))
-    rep.nilpotency_degree()  # raises with the failing power if not nilpotent
 
-    if method == "invariant" or (method == "auto" and rep.ell == 1 and rep.dims.total <= 8):
+    if method == "invariant":
         if rep.ell != 1:
             raise ValueError("the invariant route only applies to one-vertex inputs")
         pair = framed_jordan_type(rep.framing_vector, rep.maps[0])
         eta, zeta = bipartition_to_label(pair.first, pair.second)
         return Decomposition(eta, Multipartition((zeta,)))
 
-    mult = chain_multiplicities(rep.restricted())
+    probing = _HomProbing(rep)
+    mult = _multiplicities(probing.paths)
     if all(x == 0 for x in rep.framing_vector):
-        comps: list[list[int]] = [[] for _ in range(rep.ell)]
-        for (i, length), m in mult.items():
-            comps[i].extend([length] * m)
-        return Decomposition(
-            Partition(), Multipartition(tuple(Partition(sorted(c, reverse=True)) for c in comps))
-        )
+        return Decomposition(Partition(), _plain_parts(rep.ell, mult))
 
     candidates = _candidate_labels(rep.ell, mult)
     if not candidates:
         raise ValueError("no label matched: input lies outside the nilpotent cone")
     probes = tuple(sorted({c.lam for c in candidates}, key=lambda p: p.parts))
-    probing = _HomProbing(rep)
     fingerprint = tuple(probing.framed_hom(lam) for lam in probes)
     matches = [c for c in candidates if _label_fingerprint(c, probes) == fingerprint]
-    if len(matches) > 1:
-        matches = _refine_matches(rep, matches)
     if not matches:
         raise ValueError("no label matched: input lies outside the nilpotent cone")
-    assert len(matches) == 1, "hom fingerprint failed to separate candidate labels"
-    label = matches[0]
-    return Decomposition(label.lam, label.nu)
-
-
-def _refine_matches(rep: QuiverRep, labels: list[OrbitLabel]) -> list[OrbitLabel]:
-    """Last-resort disambiguation through full two-sided hom dimensions."""
-    reference = [build_label_rep(label) for label in labels]
-    out = []
-    for label, candidate in zip(labels, reference):
-        if all(
-            hom_dim(other, rep) == hom_dim(other, candidate)
-            and hom_dim(rep, other) == hom_dim(candidate, other)
-            for other in reference
-        ):
-            out.append(label)
-    return out
+    if len(matches) > 1:
+        raise AssertionError(
+            "hom fingerprint failed to separate candidate labels "
+            + ", ".join(str(label) for label in matches)
+        )
+    return Decomposition(matches[0].lam, matches[0].nu)
 
 
 def hom_fingerprint(rep: QuiverRep) -> tuple[int, ...]:

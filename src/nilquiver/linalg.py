@@ -20,7 +20,10 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {x!r}") from exc
     raise ValueError(f"not an exact rational: {x!r}")
 
 
@@ -244,10 +247,3 @@ def from_columns(cols: list[tuple], nrows: int) -> RationalMatrix:
     if not cols:
         return RationalMatrix.zero(nrows, 0)
     return RationalMatrix(tuple(zip(*cols)), len(cols))
-
-
-def span_dim(vectors: list[tuple], ambient: int) -> int:
-    """Dimension of the span of the given vectors inside Q^ambient."""
-    if not vectors:
-        return 0
-    return RationalMatrix(tuple(vectors), ambient).rank()

@@ -174,10 +174,6 @@ class FrobeniusPartition:
         return Partition(rows)
 
 
-def partition_of(f: FrobeniusPartition) -> Partition:
-    return f.partition()
-
-
 @dataclass(frozen=True, slots=True)
 class Bipartition:
     first: Partition

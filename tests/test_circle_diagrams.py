@@ -13,10 +13,8 @@ from nilquiver import (
     enumerate_partitions,
     from_dot,
     frobenius_diagram_of_partition,
-    partition_of_frobenius_diagram,
     to_ascii,
     to_dot,
-    weight_of_diagram,
     zero_hits,
 )
 
@@ -85,7 +83,7 @@ def test_frobenius_diagram_of_reference_shape():
     d = frobenius_diagram_of_partition(Partition([4, 4, 3, 3, 1, 1]), 4)
     assert d.circles == ((9, 3), (5, 2), (2, 0))
     assert d.starts() == (1, 2, 0)
-    assert partition_of_frobenius_diagram(d) == Partition([4, 4, 3, 3, 1, 1])
+    assert d.partition() == Partition([4, 4, 3, 3, 1, 1])
 
 
 def test_invalid_marked_diagrams_are_rejected():
@@ -104,24 +102,24 @@ def test_partition_diagram_roundtrip():
         for n in range(0, 21):
             for lam in enumerate_partitions(n):
                 d = frobenius_diagram_of_partition(lam, ell)
-                assert partition_of_frobenius_diagram(d) == lam
+                assert d.partition() == lam
 
 
 def test_single_marked_circle():
     d = FrobeniusCircleDiagram(3, ((1, 0),))
-    assert partition_of_frobenius_diagram(d) == Partition([1])
-    assert weight_of_diagram(d) == 1
+    assert d.partition() == Partition([1])
+    assert d.weight() == 1
 
 
 def test_weight_agreement_with_partitions():
-    assert weight_of_diagram(frobenius_diagram_of_partition(Partition([3, 1]), 2)) == 2
+    assert frobenius_diagram_of_partition(Partition([3, 1]), 2).weight() == 2
     for ell in (1, 2, 3, 4):
         for n in range(1, 13):
             for lam in enumerate_partitions(n):
                 d = frobenius_diagram_of_partition(lam, ell)
-                assert weight_of_diagram(d) == lam.weight(ell)
+                assert d.weight() == lam.weight(ell)
                 if ell == 1:
-                    assert weight_of_diagram(d) == d.circles[0][0]
+                    assert d.weight() == d.circles[0][0]
     assert FrobeniusCircleDiagram(2, ()).weight() == 0
 
 
@@ -141,7 +139,7 @@ def test_weight_filtered_bijection():
         diags = {frobenius_diagram_of_partition(lam, ell) for lam in lams}
         assert len(diags) == len(lams)
         for d in diags:
-            assert weight_of_diagram(d) <= x
+            assert d.weight() <= x
 
 
 def test_bounded_circle_diagrams_against_tiling_oracle():

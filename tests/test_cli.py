@@ -108,6 +108,22 @@ def test_decompose_rejects_non_nilpotent():
     assert "cycle" in err and "1" in err
 
 
+def test_decompose_rejects_zero_denominator():
+    rep = {
+        "ell": 1,
+        "dims": {"framing": 1, "main": [1]},
+        "maps": [[["0"]]],
+        "framing_vector": ["1/0"],
+    }
+    code, _, err = run_cli(["decompose", "--input", "-"], json.dumps(rep))
+    assert code == 2
+    assert "error" in err and "1/0" in err and "Traceback" not in err
+    rep["maps"], rep["framing_vector"] = [[["1/0"]]], ["1"]
+    code, _, err = run_cli(["decompose", "--input", "-"], json.dumps(rep))
+    assert code == 2
+    assert "error" in err and "1/0" in err and "Traceback" not in err
+
+
 def test_decompose_rejects_malformed_json():
     code, _, err = run_cli(["decompose", "--input", "-"], "{nope")
     assert code == 2

@@ -230,7 +230,7 @@ def test_label_fingerprint_separates_candidates():
     from nilquiver.decomposer import _candidate_labels, _label_fingerprint
     from nilquiver.rep_builder import label_chains
 
-    for ell, n in [(1, 10), (2, 5), (3, 4), (4, 3), (5, 2)]:
+    for ell, n in [(1, 10), (1, 14), (2, 5), (2, 6), (3, 4), (4, 3), (5, 2)]:
         seen = set()
         for label in enumerate_orbit_labels(n, ell):
             mult = Counter((start, length) for start, length, _ in label_chains(label))
@@ -286,6 +286,30 @@ def test_decompose_rejects_non_nilpotent():
     )
     with pytest.raises(ValueError):
         decompose_enhanced(rep)
+    # two vertices: a simple at vertex 0 beside a cycle that is an isomorphism
+    maps = (RationalMatrix(((1, 0),), 2), RationalMatrix(((1,), (0,)), 1))
+    rep = QuiverRep(2, DimensionVector(1, (2, 1)), maps, (Fraction(1), Fraction(1)))
+    with pytest.raises(ValueError, match="cycle"):
+        decompose_enhanced(rep)
+
+
+def test_decompose_refuses_a_fingerprint_tie(monkeypatch, tmp_path, capsys):
+    # candidates whose fingerprints tie are an internal error, never a pick
+    import json
+
+    from nilquiver import OrbitLabel, decomposer
+    from nilquiver.cli import main
+
+    label = OrbitLabel(P([2]), Multipartition((P([1]),)))
+    rep = build_label_rep(label)
+    real = decomposer._label_fingerprint
+    monkeypatch.setattr(decomposer, "_label_fingerprint", lambda _, probes: real(label, probes))
+    with pytest.raises(AssertionError):
+        decompose_enhanced(rep)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep.to_json()))
+    assert main(["decompose", "--input", str(path)]) == 1
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_decompose_roundtrip_on_all_small_labels():
