@@ -4,7 +4,7 @@ One-vertex orbits carry a normal-form bipartition (mu; nu): the Jordan
 matrix has type mu + nu and row i is marked in column mu_i.  Deleting the
 removable rows translates this into the canonical label.  The cyclic
 analogue starts from a striped bipartition (coloured rows plus a marking
-function).
+function).  Both inverses are built from the label's circle diagrams.
 
 Run with:  python3 demos/04_label_translations.py
 """
@@ -16,6 +16,7 @@ from nilquiver import (
     label_to_bipartition,
     removable_rows,
     removable_rows_cyclic,
+    striped_from_label,
     striped_label,
     striped_to_diagrams,
 )
@@ -39,4 +40,7 @@ print(f"removable rows: {sorted(removable_rows_cyclic(s))}")
 frob, circ = striped_to_diagrams(s)
 print(f"surviving marked circles (length, mark offset): {frob.circles}")
 print(f"removed plain circles (start, length): {circ.circles}")
-print(f"canonical label: {striped_label(s)}")
+label = striped_label(s)
+print(f"canonical label: {label}")
+inverse = striped_from_label(label)
+print(f"inverse rows: {inverse.rows()} (equal to the input: {inverse == s})")

@@ -158,18 +158,29 @@ class FrobeniusCircleDiagram:
 
 
 def diagram_from_json(data: dict) -> "CircleDiagram | FrobeniusCircleDiagram":
-    """Parse the shared JSON form; marked circles yield a Frobenius diagram."""
-    ell = int(data["ell"])
-    circles = data["circles"]
-    marks = [c.get("mark") for c in circles]
-    if any(m is not None for m in marks):
-        if not all(m is not None for m in marks):
-            raise ValueError("either all circles carry a mark or none does")
-        for c in circles:
-            if c["start"] != (-int(c["mark"])) % ell:
-                raise ValueError("marked circle start must be -mark mod ell")
-        return FrobeniusCircleDiagram(ell, tuple((int(c["len"]), int(c["mark"])) for c in circles))
-    return CircleDiagram(ell, tuple((int(c["start"]), int(c["len"])) for c in circles))
+    """Parse the shared JSON form; marked circles yield a Frobenius diagram.
+
+    Any other shape raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"diagram JSON must be an object, not {type(data).__name__}")
+    try:
+        ell = int(data["ell"])
+        if ell < 1:
+            raise ValueError("ell must be positive")
+        circles = data["circles"]
+        marks = [c.get("mark") for c in circles]
+        if any(m is not None for m in marks):
+            if not all(m is not None for m in marks):
+                raise ValueError("either all circles carry a mark or none does")
+            for c in circles:
+                if c["start"] != (-int(c["mark"])) % ell:
+                    raise ValueError("marked circle start must be -mark mod ell")
+            return FrobeniusCircleDiagram(ell, tuple((int(c["len"]), int(c["mark"])) for c in circles))
+        return CircleDiagram(ell, tuple((int(c["start"]), int(c["len"])) for c in circles))
+    except KeyError as exc:
+        raise ValueError(f"diagram JSON lacks the key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed diagram JSON: {exc}") from exc
 
 
 def diagram_of_coloured_partition(lam: Partition, colours, ell: int) -> CircleDiagram:

@@ -46,10 +46,16 @@ from .residues import (
 from .rep_type import classify, tits_form, wildness_witness
 
 
-def _read_payload(path: str) -> dict:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+def _read_payload(path: str, parse=json.loads):
+    """Parse the file at ``path`` (``-`` for stdin); an unreadable file or
+    malformed JSON raises ValueError."""
     try:
-        return json.loads(text)
+        if path == "-":
+            return parse(sys.stdin.read())
+        with open(path, encoding="utf-8") as handle:
+            return parse(handle.read())
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"input is not valid JSON: {exc}") from exc
 
@@ -213,16 +219,20 @@ def _render_diagram(diagram, fmt: str) -> str:
     raise ValueError(f"unknown render format {fmt!r}")
 
 
+def _parse_diagram(text: str):
+    return from_dot(text) if text.lstrip().startswith("digraph") else diagram_from_json(json.loads(text))
+
+
 def _cmd_render(args) -> int:
     if (args.partition is None) == (args.diagram is None):
         raise ValueError("exactly one of --partition and --diagram is required")
+    if args.ell is not None and args.ell < 1:
+        raise ValueError("need ell >= 1")
     if args.partition is not None:
         lam = Partition.from_text(args.partition)
         print(_render_partition(lam, args.ell, args.format))
         return 0
-    text = sys.stdin.read() if args.diagram == "-" else open(args.diagram, encoding="utf-8").read()
-    stripped = text.lstrip()
-    diagram = from_dot(text) if stripped.startswith("digraph") else diagram_from_json(json.loads(text))
+    diagram = _read_payload(args.diagram, _parse_diagram)
     print(_render_diagram(diagram, args.format))
     return 0
 

@@ -13,7 +13,8 @@ Three label styles coexist for orbits in the framed nilpotent cone:
 
 The first two styles translate into the third by deleting "removable" rows,
 which split off as unframed chains, and reading the remaining rows as a
-marked circle diagram.
+marked circle diagram.  The inverses are built from the label's circle
+diagrams, not found by search, and are certified by their forward maps.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .circle_diagrams import (
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
     FrobeniusPartition,
+    Multipartition,
     Partition,
-    enumerate_bipartitions,
     enumerate_partitions,
 )
 from .residues import DimensionVector, OrbitLabel, run_vector
@@ -204,12 +205,14 @@ def bipartition_to_label(mu: Partition, nu: Partition) -> tuple[Partition, Parti
 
 
 def label_to_bipartition(eta: Partition, zeta: Partition) -> tuple[Partition, Partition]:
-    """Inverse translation, realized by searching the finite fibre."""
-    n = eta.size + zeta.size
-    for bp in enumerate_bipartitions(n):
-        if bipartition_to_label(bp.first, bp.second) == (eta, zeta):
-            return bp.first, bp.second
-    raise ValueError(f"no bipartition translates to ({eta};{zeta})")
+    """Inverse of :func:`bipartition_to_label`: the ell = 1 striped preimage
+    of the label, read back through :func:`bipartition_as_striped` (markings
+    mu, boxes right of the marks nu), certified by the forward map."""
+    s = striped_from_label(OrbitLabel(eta, Multipartition((zeta,))))
+    mu, nu = Partition(s.nu), Partition(s.mu)
+    if bipartition_to_label(mu, nu) != (eta, zeta):
+        raise AssertionError(f"({mu};{nu}) does not translate back to ({eta};{zeta})")
+    return mu, nu
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +295,32 @@ def striped_label(s: StripedBipartition) -> OrbitLabel:
     return label_of_diagrams(*striped_to_diagrams(s))
 
 
-def striped_from_label(label: OrbitLabel, max_count: int = DEFAULT_ENUMERATION_CAP) -> StripedBipartition:
-    """Inverse of :func:`striped_label`, by searching the fixed signature."""
-    xi = label.dimension_vector()
-    for s in enumerate_striped(label.ell, DimensionVector(0, xi.main), max_count):
-        if striped_label(s) == label:
-            return s
-    raise ValueError(f"no striped bipartition maps to {label}")
+def striped_from_label(label: OrbitLabel) -> StripedBipartition:
+    """Inverse of :func:`striped_label`, built from :func:`diagrams_of_label`.
+
+    A marked circle (length p, mark offset o) is a surviving row
+    (p, -o mod ell, p - o).  A plain circle (start s, length p) is a removed
+    row (p, s, nu), nu the largest value = p + s mod ell that is at most the
+    largest of 0, the marking of the first surviving row of length <= p,
+    and p - mu of the last surviving row longer than p.  Rows of equal
+    length are sorted by (colour, marking), as :func:`enumerate_striped`
+    emits them.  The answer is certified by the forward map.
+    """
+    ell = label.ell
+    frob, circ = diagrams_of_label(label)
+    kept = [(p, (-o) % ell, p - o) for p, o in frob.circles]
+    rows = list(kept)
+    for start, length in circ.circles:
+        shorter = [nu for p, _, nu in kept if p <= length][:1]
+        longer = [length - p + nu for p, _, nu in kept if p > length][-1:]
+        bound = max([0] + shorter + longer)
+        rows.append((length, start, bound - (bound - length - start) % ell))
+    rows.sort(key=lambda r: (-r[0], r[1], r[2]))
+    lam, eps, nu = zip(*rows) if rows else ((), (), ())
+    s = StripedBipartition(ell, Partition(lam), eps, nu)
+    if striped_label(s) != label:
+        raise AssertionError(f"the rows built for {label} map to {striped_label(s)}")
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +342,14 @@ def enumerate_striped(
 ) -> list[StripedBipartition]:
     """All striped bipartitions with the given signature.
 
-    Rows are generated in weakly decreasing length order; sequences that
-    differ only by reordering equal-length rows describe the same object,
-    so results are deduplicated as row multisets.
+    Rows are generated in weakly decreasing length order, and rows of
+    equal length in non-decreasing (colour, marking) order, so each row
+    multiset (one object) is emitted exactly once.
     """
     if xi.ell != ell:
         raise ValueError("signature has the wrong cycle length")
     total = xi.total
     out: list[StripedBipartition] = []
-    seen: set[tuple] = set()
 
     def colourings(parts: tuple[int, ...]):
         counts = [0] * ell
@@ -338,7 +359,8 @@ def enumerate_striped(
                 if tuple(counts) == xi.main:
                     yield acc
                 return
-            for colour in range(ell):
+            first = acc[-1] if i and parts[i - 1] == parts[i] else 0
+            for colour in range(first, ell):
                 rv = run_vector(colour, parts[i], ell)
                 if all(c + r <= t for c, r, t in zip(counts, rv, xi.main)):
                     for j in range(ell):
@@ -356,14 +378,12 @@ def enumerate_striped(
 
             def assign(i: int, acc: tuple[int, ...]):
                 if i == len(parts):
-                    key = tuple(sorted(zip(parts, eps, acc)))
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(StripedBipartition(ell, lam, eps, acc))
-                        if len(out) > max_count:
-                            raise ValueError(f"enumeration exceeds the cap of {max_count}")
+                    out.append(StripedBipartition(ell, lam, eps, acc))
+                    if len(out) > max_count:
+                        raise ValueError(f"enumeration exceeds the cap of {max_count}")
                     return
-                for value in options[i]:
+                low = acc[-1] if i and (parts[i - 1], eps[i - 1]) == (parts[i], eps[i]) else -ell
+                for value in (v for v in options[i] if v >= low):
                     ok = True
                     for j in range(i):
                         mu_j = parts[j] - acc[j]

@@ -175,6 +175,32 @@ def test_render_diagram_dot_parses_back(tmp_path):
     assert code == 0
 
 
+def test_unreadable_input_exits_2(tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):
+        for argv in (
+            ["decompose", "--input", str(path)],
+            ["translate", "--from", "ah", "--to", "label", "--input", str(path)],
+            ["render", "--diagram", str(path)],
+        ):
+            code, _, err = run_cli(argv)
+            assert code == 2, argv
+            assert "error" in err and "Traceback" not in err
+
+
+def test_render_rejects_malformed_diagram():
+    for bad in ([1, 2], {"ell": 2}, {"ell": 2, "circles": [{"start": 0, "mark": None}]}):
+        code, _, err = run_cli(["render", "--diagram", "-"], json.dumps(bad))
+        assert code == 2, bad
+        assert "error" in err and "Traceback" not in err
+
+
+def test_render_rejects_nonpositive_ell():
+    for ell in ("0", "-1"):
+        code, out, err = run_cli(["render", "--partition", "[2,1]", "--ell", ell])
+        assert code == 2 and out == ""
+        assert "error" in err and "Traceback" not in err
+
+
 def test_render_requires_exactly_one_input(capsys):
     assert main(["render", "--format", "ascii"]) == 2
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -97,7 +98,7 @@ def test_inverse_translation():
     assert label_to_bipartition(P([]), P([3])) == (P([]), P([3]))
     assert label_to_bipartition(P([2]), P([1])) == (P([1]), P([1, 1]))
     # the translation is a bijection, so inverting the forward map succeeds
-    for n in range(7):
+    for n in range(10):
         for bp in enumerate_bipartitions(n):
             eta, zeta = bipartition_to_label(bp.first, bp.second)
             assert label_to_bipartition(eta, zeta) == (bp.first, bp.second)
@@ -229,6 +230,52 @@ def test_striped_from_label_roundtrip():
         for label in enumerate_orbit_labels(n, ell):
             s = striped_from_label(label)
             assert striped_label(s) == label
+
+
+def searched_preimages(ell, n):
+    """Oracle for ``striped_from_label``: the fibre search, run for a whole
+    cone at once, giving each label's first striped bipartition in
+    enumeration order."""
+    first = {}
+    for s in enumerate_striped(ell, delta(ell, n)):
+        first.setdefault(striped_label(s), s)
+    return first
+
+
+@pytest.mark.parametrize(
+    "ell,n",
+    [(1, n) for n in range(9)]
+    + [(2, n) for n in range(5)]
+    + [(3, n) for n in range(4)]
+    + [(4, n) for n in range(3)]
+    + [(5, 2)],
+)
+def test_striped_from_label_matches_the_fibre_search(ell, n):
+    preimages = searched_preimages(ell, n)
+    assert set(preimages) == set(enumerate_orbit_labels(n, ell))
+    for label, s in preimages.items():
+        assert striped_from_label(label) == s
+
+
+def test_striped_from_label_big_example():
+    s = big_striped()
+    assert striped_from_label(striped_label(s)) == s
+
+
+def test_striped_from_label_refuses_a_wrong_certificate(monkeypatch, tmp_path, capsys):
+    from nilquiver import orbit_maps
+    from nilquiver.cli import main
+
+    label = enumerate_orbit_labels(2, 2)[5]
+    wrong = OrbitLabel(P([9]), Multipartition.empty(2))
+    monkeypatch.setattr(orbit_maps, "striped_label", lambda s: wrong)
+    with pytest.raises(AssertionError):
+        striped_from_label(label)
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps(label.to_json()))
+    argv = ["translate", "--from", "label", "--to", "johnson", "--input", str(path)]
+    assert main(argv) == 1
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_striped_json_roundtrip():
