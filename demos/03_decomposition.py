@@ -1,10 +1,12 @@
 """Building representations and decomposing them back, exactly.
 
 A representation of the framed cyclic quiver is a matrix per arrow plus a
-framing vector.  Decomposition recovers the unframed chain summands from
-ranks of path composites and certifies the framed summand through hom
-dimensions; everything runs over exact rationals, so the recovered label
-is certain, not approximate.
+framing vector.  Decomposition reads the chain summands of M and of the
+quotient M/<v> (v the framing vector) from ranks of path composites; the
+quotient glues the head of each hook chain of the framed summand to the
+tail of the next, so the label follows in closed form and is certified by
+recomputing both chain lists from it.  Everything runs over exact
+rationals, so the recovered label is certain, not approximate.
 
 Run with:  python3 demos/03_decomposition.py
 """

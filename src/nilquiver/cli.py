@@ -34,6 +34,7 @@ from .partitions import (
     Partition,
     enumerate_bipartitions,
     enumerate_partitions,
+    json_ints,
 )
 from .rep_builder import QuiverRep, build_framed_jordan, build_striped
 from .residues import (
@@ -98,7 +99,8 @@ def _label_from_payload(fmt: str, payload: dict, ell: int | None) -> OrbitLabel:
         raise ValueError("--ell is required for striped input")
     try:
         if fmt == "ah":
-            mu, nu = Partition(payload["mu"]), Partition(payload["nu"])
+            mu = Partition(json_ints(payload["mu"], "mu"))
+            nu = Partition(json_ints(payload["nu"], "nu"))
         elif fmt == "johnson":
             striped = StripedBipartition.from_json(payload, ell)
         elif fmt == "label":

@@ -1,17 +1,43 @@
 """Exact Krull-Remak-Schmidt decomposition of nilpotent cyclic-quiver reps.
 
-The unframed part of a representation is recovered from ranks of path
-composites (a telescoping count of chain multiplicities).  The framed
-indecomposable summand is identified by enumerating the finitely many
-candidate labels compatible with those multiplicities and certifying the
-unique match through hom-space dimensions from the candidates' framed
-indecomposables.  Linear algebra runs only on the input, whose path
+A framed representation M with framing vector v is decomposed from two
+rank tables: the path ranks of M and those of the quotient M/<v>, where
+<v> is the subrepresentation generated by v.  A telescoping count turns
+each table into chain multiplicities, A for M and B for M/<v>, and the
+label follows from (A, B) in closed form (for ell = 1 this pair is the
+invariant of Achar and Henderson, Adv. Math. 219 (2008)).
+
+Gluing lemma.  Let lam have Frobenius hooks (l_c, a_c), c = 1..K, legs and
+arms strictly decreasing.  The label's representative is the sum of the
+chains chain(-a_c, a_c + l_c + 1) with v = sum_c e_{c, a_c} (e_{c, k} the
+vector at offset k of chain c), plus the plain chains nu.  Then
+
+    M/<v> = sum_c chain(-a_c, a_c + l_{c+1} + 1) + nu,    l_{K+1} = -1,
+
+that is, the head of chain c (its a_c vectors before the mark) is glued to
+the tail of chain c+1 (its l_{c+1} + 1 vectors from the mark on).  Proof
+sketch: <v> is spanned by f_{1, k}, where f_{c, k} = sum_{c' >= c}
+e_{c', a_c' + k}; this vanishes for k > l_c, because legs decrease.  Put
+h_{c, j} = sum_{c' <= c} e_{c', a_c' - a_c + j} for j < a_c (the top a_c
+vectors of every head c' <= c; arms decrease, so they exist).  The h and f
+vectors are unitriangular in the e basis, so together they form a basis.
+The arrows move h_{c, j} to h_{c, j+1} and f_{c, k} to f_{c, k+1}, and they
+send h_{c, a_c - 1} to the marks of chains 1..c, which are -f_{c+1, 0}
+modulo v.  So, modulo <v>, the h_c vectors followed by -f_{c+1} form one
+chain of length a_c + l_{c+1} + 1.
+
+The lengths interleave, L_1 > G_1 > L_2 > ... > L_K > G_K >= 0 with L_c =
+a_c + l_c + 1 and G_c = a_c + l_{c+1} + 1, so no framed chain equals a
+glued one.  Hence F = A - B (multiset difference) lists the framed chains,
+G = B - A the glued ones (G_K is absent when a_K = 0), and nu = A & B; the
+hooks come back from the pairing of F and G by rank (``_label_of_chains``).
+
+Linear algebra runs only on the input and takes no nullspace: its path
 composites are formed once each in one table (``_PathComposites``) that
-serves the path ranks, the nilpotency certificate and the probe kernels.
-Each candidate's canonical representative is a direct sum of chains, so
-its hom dimensions are counted from hook data (``_label_fingerprint``)
-without building a matrix.  The centralizer invariant of a marked Jordan
-matrix is an independent one-vertex route, kept as a test oracle.
+serves both rank tables and the nilpotency certificate.  Every answer is
+certified: the label's forward invariants (``_label_invariants``) must
+reproduce (A, B).  ``framed_jordan_type`` (the centralizer invariant of a
+marked Jordan matrix) and ``hom_fingerprint`` are independent test oracles.
 
 Everything is computed over exact rationals; an answer is either certified
 or an error is raised, never silently guessed.
@@ -19,11 +45,12 @@ or an error is raised, never silently guessed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .linalg import RationalMatrix, from_columns
-from .orbit_maps import bipartition_to_label
 from .partitions import Bipartition, FrobeniusPartition, Multipartition, Partition
 from .rep_builder import QuiverRep, label_chains
 from .residues import OrbitLabel, run_vector
@@ -179,29 +206,18 @@ def _plain_parts(ell: int, mult: dict[tuple[int, int], int]) -> Multipartition:
     return Multipartition(tuple(Partition(sorted(c, reverse=True)) for c in comps))
 
 
-def _multiplicities(paths: _PathComposites) -> dict[tuple[int, int], int]:
-    """``chain_multiplicities`` from a representation's composite table."""
-    rep = paths.rep
-    total = rep.dims.total
-    ell = rep.ell
-    if total == 0:
-        return {}
-    # every chain has at most `total` vectors, so a nilpotent input kills
-    # each composite of `total` arrows; otherwise the cycle is not nilpotent
+def _chain_counts(main: tuple[int, ...], rank) -> Counter:
+    """Chain multiplicities from the path ranks ``rank(i, L)`` of a
+    nilpotent representation with dimension vector ``main``."""
+    ell = len(main)
+    mult: Counter = Counter()
     for i in range(ell):
-        if paths.rank(i, total):
-            raise ValueError(
-                f"cycle map is not nilpotent: the composite of {total} arrows "
-                f"from vertex {i} has rank {paths.rank(i, total)}"
-            )
-    mult: dict[tuple[int, int], int] = {}
-    for i in range(ell):
-        for length in range(1, total + 1):
+        for length in range(1, sum(main) + 1):
             m = (
-                paths.rank(i, length - 1)
-                - paths.rank(i, length)
-                - paths.rank((i - 1) % ell, length)
-                + paths.rank((i - 1) % ell, length + 1)
+                rank(i, length - 1)
+                - rank(i, length)
+                - rank((i - 1) % ell, length)
+                + rank((i - 1) % ell, length + 1)
             )
             if m < 0:
                 raise ValueError(
@@ -213,10 +229,56 @@ def _multiplicities(paths: _PathComposites) -> dict[tuple[int, int], int]:
     for (i, length), m in mult.items():
         for j, extra in enumerate(run_vector(i, length, ell)):
             rebuilt[j] += m * extra
-    if tuple(rebuilt) != rep.dims.main:
+    if tuple(rebuilt) != main:
         raise ValueError("chain multiplicities do not fill the dimension vector; "
                          "input is not nilpotent")
     return mult
+
+
+def _multiplicities(paths: _PathComposites) -> Counter:
+    """``chain_multiplicities`` from a representation's composite table."""
+    rep = paths.rep
+    total = rep.dims.total
+    # every chain has at most `total` vectors, so a nilpotent input kills
+    # each composite of `total` arrows; otherwise the cycle is not nilpotent
+    for i in range(rep.ell):
+        if paths.rank(i, total):
+            raise ValueError(
+                f"cycle map is not nilpotent: the composite of {total} arrows "
+                f"from vertex {i} has rank {paths.rank(i, total)}"
+            )
+    return _chain_counts(rep.dims.main, paths.rank)
+
+
+def _quotient_multiplicities(paths: _PathComposites) -> Counter:
+    """Chain multiplicities of M/<v>, for a framed M whose cycle is nilpotent.
+
+    <v> is spanned by the Krylov vectors x^k v, vector k at vertex k mod ell;
+    those at one vertex are independent, so with K_j their span at vertex j
+    the induced composite of L arrows from vertex i has rank
+    rank[P(i, L) | K_{i+L}] - dim K_{i+L}.
+    """
+    rep = paths.rep
+    ell = rep.ell
+    krylov: list[list[tuple]] = [[] for _ in range(ell)]
+    w, k = rep.framing_vector, 0
+    while any(w):
+        krylov[k % ell].append(w)
+        w = rep.maps[k % ell].apply(w)
+        k += 1
+
+    @cache
+    def rank(i: int, length: int) -> int:
+        span = krylov[(i + length) % ell]
+        r = paths.rank(i, length)
+        if r and span:
+            p = paths.path(i, length)
+            rows = tuple(row + tuple(u[j] for u in span) for j, row in enumerate(p.rows))
+            r = RationalMatrix(rows, p.ncols + len(span)).rank() - len(span)
+        return r
+
+    main = tuple(d - len(span) for d, span in zip(rep.dims.main, krylov))
+    return _chain_counts(main, rank)
 
 
 def chain_multiplicities(rep: QuiverRep) -> dict[tuple[int, int], int]:
@@ -353,135 +415,69 @@ class Decomposition:
         return f"({head};{self.plain_parts})"
 
 
-def _candidate_labels(ell: int, mult: dict[tuple[int, int], int]) -> list[OrbitLabel]:
-    """All labels whose framed part uses a sub-multiset of the given chains.
-
-    A framed partition with hooks (legs, arms) consumes one chain of length
-    leg+arm+1 starting at -arm mod ell per hook; hook lengths are strictly
-    decreasing, so each length is consumed at most once.
-    """
-    lengths = sorted({length for (_, length) in mult}, reverse=True)
-    found: list[OrbitLabel] = []
-
-    def emit(hooks: list[tuple[int, int]]):
-        if not hooks:
-            return
-        arms = tuple(arm for _, arm in hooks)
-        legs = tuple(length - arm - 1 for length, arm in hooks)
-        lam = FrobeniusPartition(legs, arms).partition()
-        used: dict[tuple[int, int], int] = {}
-        for length, arm in hooks:
-            key = ((-arm) % ell, length)
-            used[key] = used.get(key, 0) + 1
-        rest = {key: m - used.get(key, 0) for key, m in mult.items()}
-        found.append(OrbitLabel(lam, _plain_parts(ell, rest)))
-
-    def rec(idx: int, prev_arm: int, prev_leg: int, hooks: list[tuple[int, int]]):
-        if idx == len(lengths):
-            emit(hooks)
-            return
-        rec(idx + 1, prev_arm, prev_leg, hooks)
-        length = lengths[idx]
-        for arm in range(min(length - 1, prev_arm - 1), -1, -1):
-            leg = length - arm - 1
-            if leg >= prev_leg:
-                continue
-            if mult.get(((-arm) % ell, length), 0) >= 1:
-                hooks.append((length, arm))
-                rec(idx + 1, arm, leg, hooks)
-                hooks.pop()
-
-    big = max((length for (_, length) in mult), default=0) + 1
-    rec(0, big, big, [])
-    return found
-
-
-def _label_fingerprint(label: OrbitLabel, probes: tuple[Partition, ...]) -> tuple[int, ...]:
-    """``_HomProbing(build_label_rep(label)).framed_hom`` of every probe,
-    counted from chain positions instead of linear algebra.
-
-    In the canonical representative each arrow moves a chain's basis vector
-    at offset k to offset k+1, or to zero at the chain's end.  For a probe
-    hook (leg, arm) starting at s = -arm mod ell with L = leg+arm+1:
-
-    * the kernel of the L-step path from s is spanned by the positions at
-      vertex s whose remaining length r (chain length minus offset) is at
-      most L;
-    * the arm-step path sends such a position arm offsets on if r > arm,
-      and to zero otherwise;
-    * the framing vector is the sum of the marked positions, so it lies in
-      the span of the images exactly when every marked position is one.
-
-    Hence the hom dimension is the number of kernel vectors plus one, minus
-    the number of distinct images, minus one if some mark is not an image
-    (W. Crawley-Boevey, J. Algebra 126 (1989), for maps between string
-    modules).
-    """
-    ell = label.ell
+def _label_invariants(label: OrbitLabel) -> tuple[Counter, Counter]:
+    """Chain multiplicities (A, B) of the label's representative M and of
+    M/<v>: M/<v> keeps the plain chains and glues the head of hook chain c
+    (its vectors before the mark) to the tail of hook chain c+1 (its vectors
+    from the mark on); the head of the last chain stays alone."""
     chains = label_chains(label)
-    marks = {(c, mark) for c, (_, _, mark) in enumerate(chains) if mark is not None}
-    fingerprint = []
-    for lam in probes:
-        f = lam.frobenius()
-        kernel = 0
-        images: set[tuple[int, int]] = set()
-        for leg, arm in zip(f.legs, f.arms):
-            s = (-arm) % ell
-            reach = leg + arm + 1
-            for c, (start, length, _) in enumerate(chains):
-                # first offset at vertex s whose remaining length is <= reach
-                low = max(0, length - reach)
-                first = low + (s - start - low) % ell
-                kernel += len(range(first, length, ell))
-                images.update((c, k + arm) for k in range(first, length - arm, ell))
-        fingerprint.append(kernel + 1 - len(images) - (not marks <= images))
-    return tuple(fingerprint)
+    plain = Counter((start, length) for start, length, _ in chains)
+    quotient = Counter((start, length) for start, length, mark in chains if mark is None)
+    hooks = [(start, mark, length - mark) for start, length, mark in chains if mark is not None]
+    for (start, head, _), (_, _, tail) in zip(hooks, hooks[1:] + [(0, 0, 0)]):
+        if head + tail:
+            quotient[(start, head + tail)] += 1
+    return plain, quotient
 
 
-def decompose_enhanced(rep: QuiverRep, method: str = "fingerprint") -> Decomposition:
+def _label_of_chains(ell: int, plain: Counter, quotient: Counter) -> OrbitLabel:
+    """The inverse of ``_label_invariants``, in closed form.
+
+    The framed chains F = A - B and the glued chains G = B - A, each sorted
+    by length, pair by rank: a_K = G_K (0 when G has only K - 1 chains),
+    then l_c = F_c - a_c - 1 and a_{c-1} = G_{c-1} - l_c - 1.  The plain
+    chains are A & B.  Data that fit no label raise AssertionError.
+    """
+    framed = sorted((plain - quotient).elements(), key=lambda chain: -chain[1])
+    glued = sorted((quotient - plain).elements(), key=lambda chain: -chain[1])
+    k = len(framed)
+    if len(glued) not in (k, k - 1):
+        raise AssertionError(f"{k} framed chains but {len(glued)} glued chains")
+    legs, arms = [0] * k, [0] * k
+    arm = glued[-1][1] if k and len(glued) == k else 0
+    for c in reversed(range(k)):
+        legs[c], arms[c] = framed[c][1] - arm - 1, arm
+        if c:
+            arm = glued[c - 1][1] - legs[c] - 1
+    try:
+        lam = FrobeniusPartition(tuple(legs), tuple(arms)).partition()
+    except ValueError as exc:
+        raise AssertionError(f"the chains of M and M/<v> fit no partition: {exc}") from exc
+    return OrbitLabel(lam, _plain_parts(ell, plain & quotient))
+
+
+def decompose_enhanced(rep: QuiverRep) -> Decomposition:
     """Decompose a nilpotent representation into its canonical label.
 
-    ``method`` is "fingerprint", the one production route: chain
-    multiplicities from path ranks, then the candidate labels they allow,
-    certified by hom dimensions from the candidates' framed parts.
-    "invariant" (one-vertex only: the centralizer invariant of the marked
-    Jordan matrix, then the removable-row translation) is an independent
-    oracle that the test suite cross-checks against it.  A non-nilpotent
-    input raises ValueError; a tie between candidates raises AssertionError.
+    The chain multiplicities A of M come from its path ranks; for a framed
+    input, those of M/<v>, B, from the quotient path ranks.  Gluing lemma:
+    M/<v> keeps the plain chains and glues the head of hook chain c to the
+    tail of hook chain c+1 (proof: modulo v the end of head c, summed with
+    the heads before it, maps to minus the sum of the marks after it; see
+    the module docstring).  So A - B lists the hook chains, B - A the glued
+    ones and A & B the plain chains, and a zero framing vector gives B = A
+    and the empty partition.  The label's own (A, B) must equal the
+    input's, else AssertionError; a non-nilpotent input raises ValueError.
     """
-    if method not in ("fingerprint", "invariant"):
-        raise ValueError(f"unknown method {method!r}")
+    paths = _PathComposites(rep)
+    plain = _multiplicities(paths)
     if not rep.framed:
-        if method == "invariant":
-            raise ValueError("the invariant route needs a framed input")
-        return Decomposition(None, cyclic_multiplicities(rep))
-
-    if method == "invariant":
-        if rep.ell != 1:
-            raise ValueError("the invariant route only applies to one-vertex inputs")
-        pair = framed_jordan_type(rep.framing_vector, rep.maps[0])
-        eta, zeta = bipartition_to_label(pair.first, pair.second)
-        return Decomposition(eta, Multipartition((zeta,)))
-
-    probing = _HomProbing(rep)
-    mult = _multiplicities(probing.paths)
-    if all(x == 0 for x in rep.framing_vector):
-        return Decomposition(Partition(), _plain_parts(rep.ell, mult))
-
-    candidates = _candidate_labels(rep.ell, mult)
-    if not candidates:
-        raise ValueError("no label matched: input lies outside the nilpotent cone")
-    probes = tuple(sorted({c.lam for c in candidates}, key=lambda p: p.parts))
-    fingerprint = tuple(probing.framed_hom(lam) for lam in probes)
-    matches = [c for c in candidates if _label_fingerprint(c, probes) == fingerprint]
-    if not matches:
-        raise ValueError("no label matched: input lies outside the nilpotent cone")
-    if len(matches) > 1:
-        raise AssertionError(
-            "hom fingerprint failed to separate candidate labels "
-            + ", ".join(str(label) for label in matches)
-        )
-    return Decomposition(matches[0].lam, matches[0].nu)
+        return Decomposition(None, _plain_parts(rep.ell, plain))
+    quotient = _quotient_multiplicities(paths)
+    label = _label_of_chains(rep.ell, plain, quotient)
+    if _label_invariants(label) != (plain, quotient):
+        raise AssertionError(f"label {label} does not reproduce the chains of M and M/<v>")
+    return Decomposition(label.lam, label.nu)
 
 
 def hom_fingerprint(rep: QuiverRep) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ def as_fraction(x) -> Fraction:
     """Coerce an int, Fraction or canonical "p/q" string to a Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -104,13 +104,6 @@ class RationalMatrix:
             self.ncols,
         )
 
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "RationalMatrix":
-        c = as_fraction(c)
-        return RationalMatrix(tuple(tuple(c * x for x in row) for row in self.rows), self.ncols)
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
@@ -135,14 +128,6 @@ class RationalMatrix:
         if self.ncols == 0:
             return RationalMatrix((), self.nrows)
         return RationalMatrix(tuple(zip(*self.rows)), self.nrows)
-
-    def power(self, e: int) -> "RationalMatrix":
-        if self.nrows != self.ncols:
-            raise ValueError("power of a non-square matrix")
-        result = RationalMatrix.identity(self.nrows)
-        for _ in range(e):
-            result = result @ self
-        return result
 
     # -- rank and kernel -----------------------------------------------------
 

@@ -32,6 +32,7 @@ from .partitions import (
     Multipartition,
     Partition,
     enumerate_partitions,
+    json_ints,
 )
 from .residues import DimensionVector, OrbitLabel, run_vector
 
@@ -115,9 +116,9 @@ class StripedBipartition:
     def from_json(cls, data: dict, ell: int) -> "StripedBipartition":
         return cls(
             ell,
-            Partition(data["lambda"]),
-            tuple(data["epsilon"]),
-            tuple(data["nu"]),
+            Partition(json_ints(data["lambda"], "lambda")),
+            json_ints(data["epsilon"], "epsilon"),
+            json_ints(data["nu"], "nu"),
         )
 
 

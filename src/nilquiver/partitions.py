@@ -19,6 +19,20 @@ from dataclasses import dataclass
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
+def json_int(x, what: str) -> int:
+    """An integer read from JSON; a bool, float or string raises ValueError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, not {x!r}")
+    return x
+
+
+def json_ints(data, what: str) -> tuple[int, ...]:
+    """A JSON array of integers as a tuple; any other value raises ValueError."""
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a list of integers, not {data!r}")
+    return tuple(json_int(x, what) for x in data)
+
+
 class Partition:
     """A weakly decreasing sequence of positive integers.
 

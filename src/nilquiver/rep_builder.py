@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .linalg import RationalMatrix, as_fraction, block_diag, fraction_str
 from .orbit_maps import StripedBipartition
-from .partitions import Partition
+from .partitions import Partition, json_int
 from .residues import DimensionVector, OrbitLabel, dim_framed
 
 
@@ -118,7 +118,9 @@ class QuiverRep:
             raise ValueError(f"representation JSON must be an object, not {type(data).__name__}")
         try:
             dims = DimensionVector.from_json(data["dims"])
-            ell = int(data["ell"])
+            ell = json_int(data["ell"], "ell")
+            if ell != dims.ell:
+                raise ValueError(f"ell is {ell} but the dimension vector has {dims.ell} vertices")
             main = dims.main
             maps = []
             for i, rows in enumerate(data["maps"]):

@@ -30,6 +30,8 @@ from .partitions import (
     Multipartition,
     Partition,
     enumerate_partitions,
+    json_int,
+    json_ints,
 )
 
 
@@ -74,11 +76,6 @@ class DimensionVector:
             raise ValueError("cycle length mismatch")
         return all(a >= b for a, b in zip(self.main, other.main))
 
-    def shift(self, k: int) -> "DimensionVector":
-        """Rotate the main part: entry j of the result is entry j-k of self."""
-        ell = self.ell
-        return DimensionVector(self.framing, tuple(self.main[(j - k) % ell] for j in range(ell)))
-
     def __str__(self) -> str:
         return f"({self.framing}; " + ",".join(str(x) for x in self.main) + ")"
 
@@ -87,7 +84,7 @@ class DimensionVector:
 
     @classmethod
     def from_json(cls, data: dict) -> "DimensionVector":
-        return cls(int(data["framing"]), tuple(int(x) for x in data["main"]))
+        return cls(json_int(data["framing"], "framing"), json_ints(data["main"], "main"))
 
 
 def delta(ell: int, n: int = 1) -> DimensionVector:
@@ -195,8 +192,8 @@ class OrbitLabel:
 
     @classmethod
     def from_json(cls, data: dict) -> "OrbitLabel":
-        lam = Partition(data["lambda"])
-        nu = Multipartition(tuple(Partition(c) for c in data["nu"]))
+        lam = Partition(json_ints(data["lambda"], "lambda"))
+        nu = Multipartition(tuple(Partition(json_ints(c, "nu")) for c in data["nu"]))
         return cls(lam, nu)
 
 

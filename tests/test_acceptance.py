@@ -154,9 +154,11 @@ def test_04_decomposition_oracle_one_vertex():
             rep = build_framed_jordan(bp.first, bp.second)
             eta, zeta = bipartition_to_label(bp.first, bp.second)
             want = (eta, Multipartition((zeta,)))
-            for method in ("invariant", "fingerprint"):
-                out = decompose_enhanced(rep, method=method)
-                assert (out.framed_part, out.plain_parts) == want
+            pair = framed_jordan_type(rep.framing_vector, rep.maps[0])
+            oracle = bipartition_to_label(pair.first, pair.second)
+            assert (oracle[0], Multipartition((oracle[1],))) == want
+            out = decompose_enhanced(rep)
+            assert (out.framed_part, out.plain_parts) == want
             cases += 1
             at_five += n == 5
     assert at_five == 36
@@ -196,7 +198,7 @@ def test_07_decomposition_oracle_cyclic():
         for main in itertools.product(range(3), repeat=ell):
             for s in enumerate_striped(ell, DimensionVector(0, main)):
                 want = striped_label(s)
-                got = decompose_enhanced(build_striped(s), method="fingerprint").label()
+                got = decompose_enhanced(build_striped(s)).label()
                 assert got == want, (s, got, want)
                 cases += 1
     assert cases > 400

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from nilquiver import Partition, build_framed, build_chain, direct_sum
 from nilquiver.cli import main
@@ -148,6 +149,49 @@ def test_translate_ah_rejects_missing_keys():
     )
     assert code == 2
     assert "error" in err and "nu" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "source, payload, field",
+    [
+        ("label", {"lambda": "21", "nu": [[]]}, "lambda"),
+        ("label", {"lambda": [1.5], "nu": [[]]}, "lambda"),
+        ("label", {"lambda": [True], "nu": [[]]}, "lambda"),
+        ("ah", {"mu": [2.9], "nu": []}, "mu"),
+        ("johnson", {"lambda": [2.0, 1], "epsilon": [0, 1], "nu": [2, 0]}, "lambda"),
+    ],
+)
+def test_translate_rejects_non_integer_json(source, payload, field):
+    # a float, bool or string is refused, never truncated to another label
+    code, out, err = run_cli(
+        ["translate", "--from", source, "--to", "label", "--input", "-", "--ell", "2"],
+        json.dumps(payload),
+    )
+    assert code == 2 and out == ""
+    assert "error" in err and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"ell": 1.5}, "ell"),
+        ({"dims": {"framing": 1, "main": "1"}}, "main"),
+        ({"dims": {"framing": 1, "main": [1.7]}}, "main"),
+        ({"ell": 0}, "ell"),
+        ({"ell": 2}, "ell"),
+        ({"framing_vector": [True]}, "True"),
+    ],
+)
+def test_decompose_rejects_non_integer_json(change, field):
+    rep = {
+        "ell": 1,
+        "dims": {"framing": 1, "main": [1]},
+        "maps": [[["0"]]],
+        "framing_vector": ["1"],
+    }
+    code, out, err = run_cli(["decompose", "--input", "-"], json.dumps({**rep, **change}))
+    assert code == 2 and out == ""
+    assert "error" in err and field in err and "Traceback" not in err
 
 
 def test_render_partition(capsys):

@@ -10,6 +10,7 @@ from nilquiver import (
     Decomposition,
     DimensionVector,
     Multipartition,
+    OrbitLabel,
     Partition,
     build_chain,
     build_framed,
@@ -33,8 +34,11 @@ from nilquiver import (
     random_base_change,
     striped_label,
 )
+from nilquiver.decomposer import _label_invariants, _label_of_chains
 from nilquiver.linalg import RationalMatrix
 from nilquiver.rep_builder import QuiverRep, random_invertible
+
+from fingerprint_oracle import candidate_labels, fingerprint_decompose, label_fingerprint
 
 P = Partition
 
@@ -210,7 +214,7 @@ def test_fast_framed_probing_agrees_with_the_linear_system():
 def test_label_fingerprint_matches_linear_algebra():
     # the closed-form candidate fingerprint against the probes of the built
     # representative, over every label and probe partition of each cone
-    from nilquiver.decomposer import _HomProbing, _label_fingerprint
+    from nilquiver.decomposer import _HomProbing
 
     for ell, top in [(1, 6), (2, 3), (3, 2), (4, 2)]:
         for n in range(top + 1):
@@ -219,15 +223,14 @@ def test_label_fingerprint_matches_linear_algebra():
             for label in labels:
                 probing = _HomProbing(build_label_rep(label))
                 want = tuple(probing.framed_hom(lam) for lam in probes)
-                assert _label_fingerprint(label, probes) == want, label
+                assert label_fingerprint(label, probes) == want, label
 
 
 def test_label_fingerprint_separates_candidates():
-    # for each chain multiset of the cone, the candidates the decomposer
+    # for each chain multiset of the cone, the candidates the oracle
     # enumerates must have pairwise distinct fingerprints
     from collections import Counter
 
-    from nilquiver.decomposer import _candidate_labels, _label_fingerprint
     from nilquiver.rep_builder import label_chains
 
     for ell, n in [(1, 10), (1, 14), (2, 5), (2, 6), (3, 4), (4, 3), (5, 2)]:
@@ -238,10 +241,10 @@ def test_label_fingerprint_separates_candidates():
             if key in seen:
                 continue
             seen.add(key)
-            candidates = _candidate_labels(ell, dict(mult))
+            candidates = candidate_labels(ell, dict(mult))
             assert label in candidates
             probes = tuple(sorted({c.lam for c in candidates}, key=lambda p: p.parts))
-            prints = {_label_fingerprint(c, probes) for c in candidates}
+            prints = {label_fingerprint(c, probes) for c in candidates}
             assert len(prints) == len(candidates), label
 
 
@@ -269,10 +272,11 @@ def test_decompose_normal_forms_match_the_translation():
         for bp in enumerate_bipartitions(n):
             rep = build_framed_jordan(bp.first, bp.second)
             eta, zeta = bipartition_to_label(bp.first, bp.second)
-            for method in ("invariant", "fingerprint"):
-                out = decompose_enhanced(rep, method=method)
-                assert out.framed_part == eta
-                assert out.plain_parts[0] == zeta
+            pair = framed_jordan_type(rep.framing_vector, rep.maps[0])
+            assert bipartition_to_label(pair.first, pair.second) == (eta, zeta)
+            out = decompose_enhanced(rep)
+            assert out.framed_part == eta
+            assert out.plain_parts[0] == zeta
 
 
 def test_decompose_rejects_non_nilpotent():
@@ -293,23 +297,53 @@ def test_decompose_rejects_non_nilpotent():
         decompose_enhanced(rep)
 
 
-def test_decompose_refuses_a_fingerprint_tie(monkeypatch, tmp_path, capsys):
-    # candidates whose fingerprints tie are an internal error, never a pick
+def test_decompose_refuses_a_wrong_certificate(monkeypatch, tmp_path, capsys):
+    # a label whose forward invariants miss the input's is an internal error
     import json
 
-    from nilquiver import OrbitLabel, decomposer
+    from nilquiver import decomposer
     from nilquiver.cli import main
 
     label = OrbitLabel(P([2]), Multipartition((P([1]),)))
     rep = build_label_rep(label)
-    real = decomposer._label_fingerprint
-    monkeypatch.setattr(decomposer, "_label_fingerprint", lambda _, probes: real(label, probes))
+    other = _label_invariants(OrbitLabel(P([1]), Multipartition((P([1, 1]),))))
+    monkeypatch.setattr(decomposer, "_label_invariants", lambda _: other)
     with pytest.raises(AssertionError):
         decompose_enhanced(rep)
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(rep.to_json()))
     assert main(["decompose", "--input", str(path)]) == 1
     assert "internal error" in capsys.readouterr().err
+
+
+def test_label_of_chains_inverts_the_invariants():
+    # the closed form maps the chains of M and M/<v> of every label back to
+    # that label, with no linear algebra
+    cones = [(1, n) for n in range(11)] + [(2, n) for n in range(7)]
+    cones += [(3, n) for n in range(5)] + [(4, n) for n in range(4)] + [(5, 2), (6, 2)]
+    for ell, n in cones:
+        for label in enumerate_orbit_labels(n, ell):
+            plain, quotient = _label_invariants(label)
+            assert _label_of_chains(ell, plain, quotient) == label
+
+
+def test_decompose_agrees_with_the_fingerprint_oracle():
+    # disguised labels of the cyclic cones, each decomposed by both routes
+    rng = random.Random(31)
+    for ell, n in [(2, 4), (2, 5), (3, 3), (4, 2), (4, 3)]:
+        labels = enumerate_orbit_labels(n, ell)
+        for label in labels[:: max(1, len(labels) // 8)]:
+            rep = random_base_change(build_label_rep(label), rng)
+            assert decompose_enhanced(rep).label() == fingerprint_decompose(rep) == label
+
+
+def test_decompose_disguised_dim_22():
+    # one marked box beside six Jordan blocks of distinct sizes: the
+    # candidate route would enumerate 63 candidates here
+    label = OrbitLabel(P([1]), Multipartition((P([6, 5, 4, 3, 2, 1]),)))
+    rep = random_base_change(build_label_rep(label), random.Random(22))
+    assert rep.dims.main == (22,)
+    assert decompose_enhanced(rep).label() == label
 
 
 def test_decompose_roundtrip_on_all_small_labels():
@@ -352,12 +386,17 @@ def test_decompose_survives_rational_rescaling(label, seed, data):
     # orbit: in a chain basis it is undone by rescaling each chain's vectors
     rep = random_base_change(build_label_rep(label), random.Random(seed))
     factors = data.draw(st.lists(NON_UNIT, min_size=label.ell + 1, max_size=label.ell + 1))
-    maps = tuple(m.scale(c) for m, c in zip(rep.maps, factors))
+    maps = tuple(
+        RationalMatrix(tuple(tuple(c * x for x in row) for row in m.rows), m.ncols)
+        for m, c in zip(rep.maps, factors)
+    )
     framing = tuple(factors[-1] * x for x in rep.framing_vector)
     scaled = QuiverRep(rep.ell, rep.dims, maps, framing)
-    methods = ("invariant", "fingerprint") if label.ell == 1 else ("fingerprint",)
-    for method in methods:
-        assert decompose_enhanced(scaled, method=method).label() == label
+    assert decompose_enhanced(scaled).label() == label
+    if label.ell == 1:
+        pair = framed_jordan_type(scaled.framing_vector, scaled.maps[0])
+        eta, zeta = bipartition_to_label(pair.first, pair.second)
+        assert OrbitLabel(eta, Multipartition((zeta,))) == label
 
 
 def test_one_vertex_multiplicities_agree_with_jordan_type():
@@ -379,8 +418,10 @@ def test_methods_agree_on_one_vertex_inputs():
     for n in range(5):
         for bp in enumerate_bipartitions(n):
             rep = random_base_change(build_framed_jordan(bp.first, bp.second), rng)
-            a = decompose_enhanced(rep, method="invariant")
-            b = decompose_enhanced(rep, method="fingerprint")
+            pair = framed_jordan_type(rep.framing_vector, rep.maps[0])
+            eta, zeta = bipartition_to_label(pair.first, pair.second)
+            a = Decomposition(eta, Multipartition((zeta,)))
+            b = decompose_enhanced(rep)
             assert a == b
 
 
@@ -405,5 +446,5 @@ def test_decompose_striped_oracle_small():
     for ell in (1, 2):
         for main in itertools.product(range(2), repeat=ell):
             for s in enumerate_striped(ell, DimensionVector(0, main)):
-                got = decompose_enhanced(build_striped(s), method="fingerprint").label()
+                got = decompose_enhanced(build_striped(s)).label()
                 assert got == striped_label(s)

@@ -47,8 +47,8 @@ def test_product_and_power():
     b = RationalMatrix(((1, 0), (3, 1)), 2)
     assert (a @ b).rows == ((Fraction(7), Fraction(2)), (Fraction(3), Fraction(1)))
     j = RationalMatrix(((0, 1), (0, 0)), 2)
-    assert j.power(2).is_zero()
-    assert not j.power(1).is_zero()
+    assert (j @ j).is_zero()
+    assert not j.is_zero()
 
 
 def test_nullspace_is_a_kernel_basis():

@@ -38,7 +38,10 @@ def test_chain_shapes_and_maps():
     u = build_chain(0, 4, 1)
     assert u.dims.main == (4,)
     assert u.maps[0].rank() == 3
-    assert u.maps[0].power(4).is_zero() and not u.maps[0].power(3).is_zero()
+    powers = [RationalMatrix.identity(4)]
+    for _ in range(4):
+        powers.append(u.maps[0] @ powers[-1])
+    assert powers[4].is_zero() and not powers[3].is_zero()
 
 
 def test_chain_dims_match_the_residue_formula():
@@ -84,7 +87,10 @@ def test_framed_jordan_normal_form():
     fv = rep.framing_vector
     assert [i for i, x in enumerate(fv) if x] == [1, 5]
     x = rep.maps[0]
-    assert x.power(5).is_zero() and not x.power(4).is_zero()
+    powers = [RationalMatrix.identity(6)]
+    for _ in range(5):
+        powers.append(x @ powers[-1])
+    assert powers[5].is_zero() and not powers[4].is_zero()
     with pytest.raises(ValueError):
         build_framed_jordan(P([1]), P([0, 3]))
 

