@@ -9,6 +9,7 @@ fixed input.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -38,11 +39,14 @@ from .partitions import (
 )
 from .rep_builder import QuiverRep, build_framed_jordan, build_striped
 from .residues import (
+    DimensionVector,
     OrbitLabel,
+    column_residue,
     delta,
     ell_quotient_core,
     enumerate_orbit_labels,
     from_core_quotient,
+    run_vector,
 )
 from .rep_type import classify, tits_form, wildness_witness
 
@@ -69,20 +73,42 @@ def _read_payload(path: str, parse=json.loads):
 def _cmd_enumerate(args) -> int:
     if args.n < 0 or args.ell < 1 or (args.x is not None and args.x < 1):
         raise ValueError("need n >= 0, ell >= 1 and x >= 1")
-    labels = enumerate_orbit_labels(args.n, args.ell)
+    ell = args.ell
+    labels = enumerate_orbit_labels(args.n, ell)
     if args.x is not None:
-        labels = [lbl for lbl in labels if lbl.lam.weight(args.ell) <= args.x]
-    target = delta(args.ell, args.n)
-    for lbl in labels:
-        frob = frobenius_diagram_of_partition(lbl.lam, args.ell)
+        labels = [lbl for lbl in labels if lbl.lam.weight(ell) <= args.x]
+    target = delta(ell, args.n).main
+    runs: dict[tuple[int, int], tuple[int, ...]] = {}
+    rows = []
+    bad = 0
+    # the labels come sorted by partition first, so each partition's marked
+    # diagram and column residue are computed once per run of equal lam
+    for lam, group in itertools.groupby(labels, key=lambda lbl: lbl.lam):
+        frob = frobenius_diagram_of_partition(lam, ell)
         marked = ",".join(f"(len={p},mark={o})" for p, o in frob.circles) or "-"
-        plain = ",".join(
-            f"({i},{length})" for i, comp in enumerate(lbl.nu) for length in comp
-        ) or "-"
-        dv = lbl.dimension_vector()
-        check = "ok" if dv.main == target.main else "BAD"
-        print(f"label={lbl}  marked=[{marked}]  plain=[{plain}]  dims={dv}  [{check}]")
-    print(f"total: {len(labels)}")
+        cres = column_residue(lam, ell).main
+        for lbl in group:
+            main = list(cres)
+            plain = []
+            for i, comp in enumerate(lbl.nu):
+                for length in comp:
+                    run = runs.get((i, length))
+                    if run is None:
+                        run = runs[i, length] = run_vector(i, length, ell)
+                    main = [a + b for a, b in zip(main, run)]
+                    plain.append(f"({i},{length})")
+            dv = DimensionVector(1, main)
+            check = "ok" if dv.main == target else "BAD"
+            if check == "BAD":
+                bad += 1
+            rows.append(
+                f"label={lbl}  marked=[{marked}]  plain=[{','.join(plain) or '-'}]  "
+                f"dims={dv}  [{check}]\n"
+            )
+    rows.append(f"total: {len(labels)}\n")
+    sys.stdout.write("".join(rows))
+    if bad:
+        raise AssertionError(f"{bad} of {len(labels)} rows fail the dimension check")
     return 0
 
 

@@ -197,42 +197,76 @@ class OrbitLabel:
         return cls(lam, nu)
 
 
-def _fill_with_chains(deficit: tuple[int, ...], vertex: int, ell: int):
-    """Yield all chain multisets (as per-vertex length tuples) of total deficit.
-
-    A chain of length N at vertex v occupies run_vector(v, N, ell); the
-    yielded value has one weakly decreasing length tuple per vertex.
-    """
-    if vertex == ell:
-        if all(d == 0 for d in deficit):
-            yield ()
-        return
-
-    def choices(remaining: tuple[int, ...], cap: int, acc: tuple[int, ...]):
-        yield acc, remaining
-        for length in range(min(cap, sum(remaining)), 0, -1):
-            rv = run_vector(vertex, length, ell)
-            if all(r >= v for r, v in zip(remaining, rv)):
-                yield from choices(
-                    tuple(r - v for r, v in zip(remaining, rv)), length, acc + (length,)
-                )
-
-    for acc, remaining in choices(deficit, sum(deficit), ()):
-        for rest in _fill_with_chains(remaining, vertex + 1, ell):
-            yield (acc,) + rest
-
-
 def enumerate_orbit_labels(
     n: int, ell: int, max_count: int = DEFAULT_ENUMERATION_CAP
 ) -> list[OrbitLabel]:
     """All labels (lam; nu) whose total dimension vector is n at every vertex.
 
     The residue equation column_residue(lam) + shifted_residue(nu) = n*delta
-    bounds |lam| by n*ell, so the search is finite and complete.
+    bounds |lam| by n*ell, so the search is finite and complete.  For each
+    lam the deficit n*delta - column_residue(lam) is filled with chains,
+    vertex by vertex: a chain of length N at vertex v occupies
+    run_vector(v, N, ell), and component v of nu lists the lengths chosen
+    at v in weakly decreasing order.
+
+    Many partitions leave the same deficit, and many vertex-0 choices leave
+    the same remainder, so the fills from vertex 1 onward (the tails) are
+    memoized per (remaining deficit, vertex) for the duration of the call.
+    The vertex-0 choices stay lazy: labels are emitted one vertex-0 choice
+    at a time, so the cap is checked as the output grows.
+
+    ``ValueError`` is raised exactly when the cone has more than
+    ``max_count`` labels (a cone of ``max_count`` labels is returned
+    whole), or when some size up to n*ell has more than ``max_count``
+    partitions.  It fires as soon as the output would pass the cap, or as
+    soon as one memoized tail list passes it: a tail list is only built for
+    a remainder some prefix reaches, and each of its tails completes that
+    prefix to a different label.
+
+    Each distinct chain-length tuple becomes one shared ``Partition``.  The
+    result is sorted by :meth:`OrbitLabel.sort_key`, largest first.
     """
     if n < 0 or ell < 1:
         raise ValueError("need n >= 0 and ell >= 1")
     target = delta(ell, n)
+    tails: dict[tuple[tuple[int, ...], int], list[tuple[Partition, ...]]] = {}
+    partitions: dict[tuple[int, ...], Partition] = {}
+
+    def partition(lengths: tuple[int, ...]) -> Partition:
+        shared = partitions.get(lengths)
+        if shared is None:
+            shared = partitions[lengths] = Partition(lengths)
+        return shared
+
+    def choices(vertex: int, remaining: tuple[int, ...], cap: int, acc: tuple[int, ...]):
+        """Yield (lengths, what is left) for every chain multiset at vertex
+        with lengths at most cap that fits in remaining."""
+        yield acc, remaining
+        for length in range(min(cap, sum(remaining)), 0, -1):
+            rv = run_vector(vertex, length, ell)
+            if all(r >= v for r, v in zip(remaining, rv)):
+                yield from choices(
+                    vertex, tuple(r - v for r, v in zip(remaining, rv)), length, acc + (length,)
+                )
+
+    def fills(deficit: tuple[int, ...], vertex: int) -> list[tuple[Partition, ...]]:
+        """Every way to fill deficit exactly with chains at vertex..ell-1,
+        as one partition of chain lengths per vertex."""
+        key = (deficit, vertex)
+        found = tails.get(key)
+        if found is None:
+            if vertex == ell:
+                found = [] if any(deficit) else [()]
+            else:
+                found = []
+                for acc, remaining in choices(vertex, deficit, sum(deficit), ()):
+                    head = (partition(acc),)
+                    found.extend(head + rest for rest in fills(remaining, vertex + 1))
+                    if len(found) > max_count:
+                        raise ValueError(f"enumeration exceeds the cap of {max_count}")
+            tails[key] = found
+        return found
+
     out: list[OrbitLabel] = []
     for m in range(0, n * ell + 1):
         for lam in enumerate_partitions(m, max_count):
@@ -240,11 +274,13 @@ def enumerate_orbit_labels(
             if not target.dominates(cres):
                 continue
             deficit = tuple(t - c for t, c in zip(target.main, cres.main))
-            for comps in _fill_with_chains(deficit, 0, ell):
-                nu = Multipartition(tuple(Partition(c) for c in comps))
-                out.append(OrbitLabel(lam, nu))
-                if len(out) > max_count:
+            for acc, remaining in choices(0, deficit, sum(deficit), ()):
+                rests = fills(remaining, 1)
+                if len(out) + len(rests) > max_count:
                     raise ValueError(f"enumeration exceeds the cap of {max_count}")
+                head = (partition(acc),)
+                for rest in rests:
+                    out.append(OrbitLabel(lam, Multipartition(head + rest)))
     out.sort(key=OrbitLabel.sort_key, reverse=True)
     return out
 

@@ -1,0 +1,84 @@
+"""The direct orbit-label search and per-label row rendering, kept as test
+oracles.
+
+``residues.enumerate_orbit_labels`` memoizes the chain fills from vertex 1
+onward, and ``cli._cmd_enumerate`` renders each partition once per run of
+equal partitions.  This module keeps the independent versions they
+replaced: a generator that refills the chains from scratch for every
+partition, and a renderer that recomputes every row from its label alone.
+"""
+
+from __future__ import annotations
+
+from nilquiver import (
+    Multipartition,
+    OrbitLabel,
+    Partition,
+    column_residue,
+    delta,
+    enumerate_partitions,
+    frobenius_diagram_of_partition,
+    run_vector,
+)
+
+
+def fill_with_chains(deficit: tuple[int, ...], vertex: int, ell: int):
+    """Yield all chain multisets (as per-vertex length tuples) of total deficit.
+
+    A chain of length N at vertex v occupies run_vector(v, N, ell); the
+    yielded value has one weakly decreasing length tuple per vertex.
+    """
+    if vertex == ell:
+        if all(d == 0 for d in deficit):
+            yield ()
+        return
+
+    def choices(remaining: tuple[int, ...], cap: int, acc: tuple[int, ...]):
+        yield acc, remaining
+        for length in range(min(cap, sum(remaining)), 0, -1):
+            rv = run_vector(vertex, length, ell)
+            if all(r >= v for r, v in zip(remaining, rv)):
+                yield from choices(
+                    tuple(r - v for r, v in zip(remaining, rv)), length, acc + (length,)
+                )
+
+    for acc, remaining in choices(deficit, sum(deficit), ()):
+        for rest in fill_with_chains(remaining, vertex + 1, ell):
+            yield (acc,) + rest
+
+
+def orbit_labels(n: int, ell: int) -> list[OrbitLabel]:
+    """Every label of the (ell, n) cone, sorted as ``enumerate_orbit_labels``
+    sorts them."""
+    target = delta(ell, n)
+    out = []
+    for m in range(n * ell + 1):
+        for lam in enumerate_partitions(m):
+            cres = column_residue(lam, ell)
+            if not target.dominates(cres):
+                continue
+            deficit = tuple(t - c for t, c in zip(target.main, cres.main))
+            for comps in fill_with_chains(deficit, 0, ell):
+                out.append(OrbitLabel(lam, Multipartition(tuple(Partition(c) for c in comps))))
+    out.sort(key=OrbitLabel.sort_key, reverse=True)
+    return out
+
+
+def enumerate_rows(labels: list[OrbitLabel], n: int, ell: int, x: int | None = None) -> str:
+    """The stdout of ``enumerate-orbits`` for these labels, each row
+    rendered from its label alone."""
+    if x is not None:
+        labels = [lbl for lbl in labels if lbl.lam.weight(ell) <= x]
+    target = delta(ell, n)
+    lines = []
+    for lbl in labels:
+        frob = frobenius_diagram_of_partition(lbl.lam, ell)
+        marked = ",".join(f"(len={p},mark={o})" for p, o in frob.circles) or "-"
+        plain = ",".join(
+            f"({i},{length})" for i, comp in enumerate(lbl.nu) for length in comp
+        ) or "-"
+        dv = lbl.dimension_vector()
+        check = "ok" if dv.main == target.main else "BAD"
+        lines.append(f"label={lbl}  marked=[{marked}]  plain=[{plain}]  dims={dv}  [{check}]\n")
+    lines.append(f"total: {len(labels)}\n")
+    return "".join(lines)

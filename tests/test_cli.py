@@ -1,19 +1,37 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from enumeration_oracle import enumerate_rows
 
-from nilquiver import Partition, build_framed, build_chain, direct_sum
+from nilquiver import (
+    Multipartition,
+    OrbitLabel,
+    Partition,
+    build_chain,
+    build_framed,
+    direct_sum,
+    enumerate_orbit_labels,
+)
+from nilquiver import cli
 from nilquiver.cli import main
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(args, stdin=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "nilquiver.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        env=env,
     )
     return out.returncode, out.stdout, out.stderr
 
@@ -44,6 +62,29 @@ def test_enumerate_orbits_is_deterministic(capsys):
     first = capsys.readouterr().out
     main(["enumerate-orbits", "--n", "2", "--ell", "2"])
     assert capsys.readouterr().out == first
+
+
+def test_enumerate_orbits_matches_the_per_label_rendering(capsys):
+    for ell, n, x in [(1, 4, None), (2, 3, None), (3, 2, None), (4, 2, None), (2, 3, 1), (3, 2, 2)]:
+        argv = ["enumerate-orbits", "--n", str(n), "--ell", str(ell)]
+        if x is not None:
+            argv += ["--x", str(x)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == enumerate_rows(enumerate_orbit_labels(n, ell), n, ell, x)
+
+
+def test_enumerate_orbits_bad_row_exits_1(monkeypatch, capsys):
+    stray = OrbitLabel(Partition([2]), Multipartition((Partition(),)))
+
+    def with_stray(n, ell):
+        return enumerate_orbit_labels(n, ell) + [stray]
+
+    monkeypatch.setattr(cli, "enumerate_orbit_labels", with_stray)
+    assert main(["enumerate-orbits", "--n", "1", "--ell", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == enumerate_rows(with_stray(1, 1), 1, 1)
+    assert captured.out.splitlines()[2].endswith("[BAD]")
+    assert captured.err.startswith("internal error: ")
 
 
 def test_translate_roundtrips(tmp_path):

@@ -2,6 +2,7 @@ import itertools
 import json
 
 import pytest
+from enumeration_oracle import fill_with_chains
 
 from nilquiver import (
     CircleDiagram,
@@ -219,9 +220,7 @@ def test_striped_label_is_a_bijection_at_fixed_signature():
                     if not xi.dominates(cr):
                         continue
                     rest = tuple(a - b for a, b in zip(main, cr.main))
-                    from nilquiver.residues import _fill_with_chains
-
-                    count += sum(1 for _ in _fill_with_chains(rest, 0, ell))
+                    count += sum(1 for _ in fill_with_chains(rest, 0, ell))
             assert count == len(labels)
 
 

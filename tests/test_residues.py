@@ -1,4 +1,7 @@
+import time
+
 import pytest
+from enumeration_oracle import orbit_labels
 
 from nilquiver import (
     DimensionVector,
@@ -151,6 +154,36 @@ def test_enumerate_orbit_labels_satisfy_the_residue_equation():
                     if label.lam == lam and shifted_residue(label.nu, ell).main == need
                 )
         assert brute == len(labels)
+
+
+def test_enumerate_orbit_labels_matches_the_direct_search():
+    cones = (
+        [(1, n) for n in range(11)]
+        + [(2, n) for n in range(7)]
+        + [(3, n) for n in range(5)]
+        + [(4, n) for n in range(4)]
+        + [(5, 2), (6, 2)]
+    )
+    for ell, n in cones:
+        assert enumerate_orbit_labels(n, ell) == orbit_labels(n, ell), (ell, n)
+
+
+def test_enumerate_orbit_labels_cap():
+    assert len(enumerate_orbit_labels(2, 2, max_count=28)) == 28
+    with pytest.raises(ValueError, match="cap of 27"):
+        enumerate_orbit_labels(2, 2, max_count=27)
+    # the cap fires while the labels are produced, not after a full search
+    for n, ell in [(12, 2), (5, 4)]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cap of 1000"):
+            enumerate_orbit_labels(n, ell, max_count=1000)
+        assert time.perf_counter() - start < 1.0, (n, ell)
+    # a memoized tail list stops at the cap too: the tails of the empty
+    # partition at ell = 12, built whole, take tens of seconds
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cap of 1000"):
+        enumerate_orbit_labels(2, 12, max_count=1000)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_label_count_matches_striped_count():
