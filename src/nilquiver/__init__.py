@@ -33,6 +33,7 @@ from .residues import (
     from_core_quotient,
     residue,
     run_vector,
+    runs_vector,
     shifted_residue,
     zero_hits,
 )

@@ -12,6 +12,13 @@ A marked diagram is Frobenius when both the mark offsets and the follower
 counts are strictly decreasing; the offsets are then the arm lengths and
 the follower counts the leg lengths of a partition, which sets up the
 bijection between marked diagrams and partitions used for orbit labels.
+
+Both kinds list their circles as chains through ``chains()``: one triple
+(start, length, mark) per circle, with mark None for an unmarked circle.
+``FrobeniusCircleDiagram.chains`` is the one place the start -mark mod ell
+is worked out; dimension vectors, JSON, DOT and ASCII forms, the
+representatives built in ``rep_builder`` and the decomposer's hook probes
+all read their chains from it.
 """
 
 from __future__ import annotations
@@ -19,17 +26,36 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .partitions import FrobeniusPartition, Multipartition, Partition
+from .partitions import FrobeniusPartition, Multipartition, Partition, json_int
 from .residues import (
     DimensionVector,
     run_vector,
+    runs_vector,
     zero_hits,
     chain_allowed,
 )
 
 
+class _Diagram:
+    """What both diagram kinds read off their chains (start, length, mark)."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self.circles)
+
+    def dimension_vector(self) -> DimensionVector:
+        return DimensionVector(0, runs_vector(((s, p) for s, p, _ in self.chains()), self.ell))
+
+    def to_json(self) -> dict:
+        return {
+            "ell": self.ell,
+            "circles": [{"start": s, "len": p, "mark": m} for s, p, m in self.chains()],
+        }
+
+
 @dataclass(frozen=True, slots=True)
-class CircleDiagram:
+class CircleDiagram(_Diagram):
     """An unmarked multiset of circles: pairs (start block, length >= 1)."""
 
     ell: int
@@ -48,15 +74,9 @@ class CircleDiagram:
         circles.sort(key=lambda c: (-c[1], c[0]))
         object.__setattr__(self, "circles", tuple(circles))
 
-    def __len__(self) -> int:
-        return len(self.circles)
-
-    def dimension_vector(self) -> DimensionVector:
-        counts = [0] * self.ell
-        for start, length in self.circles:
-            for j, extra in enumerate(run_vector(start, length, self.ell)):
-                counts[j] += extra
-        return DimensionVector(0, tuple(counts))
+    def chains(self) -> tuple[tuple[int, int, None], ...]:
+        """(start, length, None) per circle."""
+        return tuple((s, p, None) for s, p in self.circles)
 
     def multipartition(self) -> Multipartition:
         """Circle lengths grouped by start block."""
@@ -70,19 +90,13 @@ class CircleDiagram:
         circles = [(i, length) for i, comp in enumerate(nu) for length in comp]
         return cls(len(nu), tuple(circles))
 
-    def to_json(self) -> dict:
-        return {
-            "ell": self.ell,
-            "circles": [{"start": s, "len": p, "mark": None} for s, p in self.circles],
-        }
-
     def __str__(self) -> str:
         inner = ", ".join(f"({s},{p})" for s, p in self.circles)
         return f"CircleDiagram(ell={self.ell}, [{inner}])"
 
 
 @dataclass(frozen=True, slots=True)
-class FrobeniusCircleDiagram:
+class FrobeniusCircleDiagram(_Diagram):
     """Marked circles (length, mark offset) whose marks land in block 0.
 
     Valid diagrams have strictly decreasing mark offsets and strictly
@@ -115,19 +129,14 @@ class FrobeniusCircleDiagram:
                     "must both be strictly decreasing"
                 )
 
-    def __len__(self) -> int:
-        return len(self.circles)
+    def chains(self) -> tuple[tuple[int, int, int], ...]:
+        """(start, length, mark) per circle, longest first; the start is
+        -mark mod ell, so the marked vertex sits in block 0."""
+        return tuple(((-o) % self.ell, p, o) for p, o in self.circles)
 
     def starts(self) -> tuple[int, ...]:
         """Start block of each circle; the marked vertex then sits in block 0."""
-        return tuple((-o) % self.ell for _, o in self.circles)
-
-    def dimension_vector(self) -> DimensionVector:
-        counts = [0] * self.ell
-        for p, o in self.circles:
-            for j, extra in enumerate(run_vector((-o) % self.ell, p, self.ell)):
-                counts[j] += extra
-        return DimensionVector(0, tuple(counts))
+        return tuple(s for s, _, _ in self.chains())
 
     def frobenius_partition(self) -> FrobeniusPartition:
         arms = tuple(o for _, o in self.circles)
@@ -141,20 +150,29 @@ class FrobeniusCircleDiagram:
         """Block-0 vertex count of the longest circle; 0 for the empty diagram."""
         if not self.circles:
             return 0
-        p, o = self.circles[0]
-        return zero_hits((-o) % self.ell, p, self.ell)
-
-    def to_json(self) -> dict:
-        return {
-            "ell": self.ell,
-            "circles": [
-                {"start": (-o) % self.ell, "len": p, "mark": o} for p, o in self.circles
-            ],
-        }
+        start, length, _ = self.chains()[0]
+        return zero_hits(start, length, self.ell)
 
     def __str__(self) -> str:
         inner = ", ".join(f"(len={p}, mark={o})" for p, o in self.circles)
         return f"FrobeniusCircleDiagram(ell={self.ell}, [{inner}])"
+
+
+def _diagram_of_chains(
+    ell: int, chains: list[tuple[int, int, int | None]]
+) -> "CircleDiagram | FrobeniusCircleDiagram":
+    """The diagram whose chains (start, length, mark) are the given ones:
+    marked when every chain carries a mark, unmarked when none does.
+    Anything else, a marked start other than -mark mod ell included,
+    raises ValueError."""
+    if all(mark is None for _, _, mark in chains):
+        return CircleDiagram(ell, tuple((s, p) for s, p, _ in chains))
+    if any(mark is None for _, _, mark in chains):
+        raise ValueError("either all circles carry a mark or none does")
+    diagram = FrobeniusCircleDiagram(ell, tuple((p, mark) for _, p, mark in chains))
+    if sorted(diagram.chains()) != sorted(chains):
+        raise ValueError("marked circle start must be -mark mod ell")
+    return diagram
 
 
 def diagram_from_json(data: dict) -> "CircleDiagram | FrobeniusCircleDiagram":
@@ -164,23 +182,22 @@ def diagram_from_json(data: dict) -> "CircleDiagram | FrobeniusCircleDiagram":
     if not isinstance(data, dict):
         raise ValueError(f"diagram JSON must be an object, not {type(data).__name__}")
     try:
-        ell = int(data["ell"])
+        ell = json_int(data["ell"], "ell")
         if ell < 1:
             raise ValueError("ell must be positive")
-        circles = data["circles"]
-        marks = [c.get("mark") for c in circles]
-        if any(m is not None for m in marks):
-            if not all(m is not None for m in marks):
-                raise ValueError("either all circles carry a mark or none does")
-            for c in circles:
-                if c["start"] != (-int(c["mark"])) % ell:
-                    raise ValueError("marked circle start must be -mark mod ell")
-            return FrobeniusCircleDiagram(ell, tuple((int(c["len"]), int(c["mark"])) for c in circles))
-        return CircleDiagram(ell, tuple((int(c["start"]), int(c["len"])) for c in circles))
+        chains = [
+            (
+                json_int(c["start"], "start"),
+                json_int(c["len"], "len"),
+                None if c.get("mark") is None else json_int(c["mark"], "mark"),
+            )
+            for c in data["circles"]
+        ]
     except KeyError as exc:
         raise ValueError(f"diagram JSON lacks the key {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed diagram JSON: {exc}") from exc
+    return _diagram_of_chains(ell, chains)
 
 
 def diagram_of_coloured_partition(lam: Partition, colours, ell: int) -> CircleDiagram:
@@ -255,14 +272,9 @@ def to_dot(diagram: "CircleDiagram | FrobeniusCircleDiagram") -> str:
     """Graphviz DOT form: one node per vertex, blocks as clusters, arrows
     along the circles, marked vertices drawn as boxes."""
     ell = diagram.ell
-    if isinstance(diagram, FrobeniusCircleDiagram):
-        chains = [((-o) % ell, p, o) for p, o in diagram.circles]
-    else:
-        chains = [(s, p, None) for s, p in diagram.circles]
-
     nodes: list[tuple[str, int, bool]] = []
     edges: list[tuple[str, str]] = []
-    for c_idx, (start, length, mark) in enumerate(chains):
+    for c_idx, (start, length, mark) in enumerate(diagram.chains()):
         prev = None
         for k in range(length):
             block = (start + k) % ell
@@ -288,44 +300,54 @@ def to_dot(diagram: "CircleDiagram | FrobeniusCircleDiagram") -> str:
 
 
 def from_dot(text: str) -> "CircleDiagram | FrobeniusCircleDiagram":
-    """Rebuild a diagram from the DOT text emitted by :func:`to_dot`."""
+    """Rebuild a diagram from the DOT text emitted by :func:`to_dot`.
+
+    ell is read from the block clusters.  Every arrow must join declared
+    nodes, no node may have two arrows out or in or lie on a cycle, and
+    each arrow must step to the next block; anything else raises
+    ValueError.
+    """
+    cluster_re = re.compile(r"^\s*subgraph cluster_(\d+) \{\s*$")
     node_re = re.compile(r"^\s*(c\d+_\d+) \[shape=(box|circle), label=\"(\d+)\"\];\s*$")
     edge_re = re.compile(r"^\s*(c\d+_\d+) -> (c\d+_\d+);\s*$")
+    ell = 0
     blocks: dict[str, int] = {}
     marked: set[str] = set()
     succ: dict[str, str] = {}
-    has_pred: set[str] = set()
+    pred: dict[str, str] = {}
     for line in text.splitlines():
-        m = node_re.match(line)
-        if m:
+        if m := cluster_re.match(line):
+            ell = max(ell, int(m.group(1)) + 1)
+        elif m := node_re.match(line):
             blocks[m.group(1)] = int(m.group(3))
             if m.group(2) == "box":
                 marked.add(m.group(1))
-            continue
-        m = edge_re.match(line)
-        if m:
-            succ[m.group(1)] = m.group(2)
-            has_pred.add(m.group(2))
+        elif m := edge_re.match(line):
+            a, b = m.groups()
+            if a in succ or b in pred:
+                raise ValueError(f"{a if a in succ else b} has two arrows out or in")
+            succ[a], pred[b] = b, a
     if not blocks:
         raise ValueError("no diagram nodes found in DOT text")
-    ell = max(blocks.values()) + 1
-    circles = []
-    frobenius = bool(marked)
-    for name in sorted(b for b in blocks if b not in has_pred):
+    for name in sorted(succ.keys() | pred.keys() | blocks.keys()):
+        if name not in blocks:
+            raise ValueError(f"arrow to the undeclared node {name}")
+        if blocks[name] >= ell:
+            raise ValueError(f"{name} sits in block {blocks[name]} of only {ell} clusters")
+    chains = []
+    for name in sorted(b for b in blocks if b not in pred):
         chain = [name]
         while chain[-1] in succ:
             chain.append(succ[chain[-1]])
-        start = blocks[chain[0]]
-        if frobenius:
-            offsets = [k for k, v in enumerate(chain) if v in marked]
-            if len(offsets) != 1:
-                raise ValueError("each marked circle needs exactly one marked vertex")
-            circles.append(("F", len(chain), offsets[0]))
-        else:
-            circles.append(("C", start, len(chain)))
-    if frobenius:
-        return FrobeniusCircleDiagram(ell, tuple((p, o) for _, p, o in circles))
-    return CircleDiagram(ell, tuple((s, p) for _, s, p in circles))
+            if blocks[chain[-1]] != (blocks[chain[-2]] + 1) % ell:
+                raise ValueError(f"arrow {chain[-2]} -> {chain[-1]} must step one block")
+        offsets = [k for k, v in enumerate(chain) if v in marked]
+        if len(offsets) > 1:
+            raise ValueError("each marked circle needs exactly one marked vertex")
+        chains.append((blocks[name], len(chain), offsets[0] if offsets else None))
+    if sum(length for _, length, _ in chains) != len(blocks):
+        raise ValueError("DOT arrows form a cycle")
+    return _diagram_of_chains(ell, chains)
 
 
 def to_ascii(diagram: "CircleDiagram | FrobeniusCircleDiagram") -> str:
@@ -336,11 +358,7 @@ def to_ascii(diagram: "CircleDiagram | FrobeniusCircleDiagram") -> str:
     """
     ell = diagram.ell
     lines = [f"ell={ell}"]
-    if isinstance(diagram, FrobeniusCircleDiagram):
-        chains = [((-o) % ell, p, o) for p, o in diagram.circles]
-    else:
-        chains = [(s, p, None) for s, p in diagram.circles]
-    for idx, (start, length, mark) in enumerate(chains, start=1):
+    for idx, (start, length, mark) in enumerate(diagram.chains(), start=1):
         cells = []
         for k in range(length):
             block = (start + k) % ell

@@ -14,7 +14,6 @@ import json
 import sys
 
 from .circle_diagrams import (
-    FrobeniusCircleDiagram,
     diagram_from_json,
     frobenius_diagram_of_partition,
     from_dot,
@@ -229,16 +228,11 @@ def _render_diagram(diagram, fmt: str) -> str:
     if fmt == "dot":
         return to_dot(diagram)
     if fmt == "latex-ytableau":
-        ell = diagram.ell
-        if isinstance(diagram, FrobeniusCircleDiagram):
-            chains = [((-o) % ell, p, o) for p, o in diagram.circles]
-        else:
-            chains = [(s, p, None) for s, p in diagram.circles]
         rows = []
-        for start, length, mark in chains:
+        for start, length, mark in diagram.chains():
             cells = []
             for k in range(length - 1, -1, -1):
-                label = str((start + k) % ell)
+                label = str((start + k) % diagram.ell)
                 if mark is not None and k == mark:
                     label = f"*(gray) {label}"
                 cells.append(label)

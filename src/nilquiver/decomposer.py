@@ -50,10 +50,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+from .circle_diagrams import CircleDiagram, frobenius_diagram_of_partition
 from .linalg import RationalMatrix, from_columns
 from .partitions import Bipartition, FrobeniusPartition, Multipartition, Partition
 from .rep_builder import QuiverRep, label_chains
-from .residues import OrbitLabel, run_vector
+from .residues import OrbitLabel, runs_vector
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +199,6 @@ class _PathComposites:
         return row[length][1] if length < len(row) else 0
 
 
-def _plain_parts(ell: int, mult: dict[tuple[int, int], int]) -> Multipartition:
-    """Chain lengths grouped by start vertex."""
-    comps: list[list[int]] = [[] for _ in range(ell)]
-    for (i, length), m in mult.items():
-        comps[i].extend([length] * m)
-    return Multipartition(tuple(Partition(sorted(c, reverse=True)) for c in comps))
-
-
 def _chain_counts(main: tuple[int, ...], rank) -> Counter:
     """Chain multiplicities from the path ranks ``rank(i, L)`` of a
     nilpotent representation with dimension vector ``main``."""
@@ -225,11 +218,7 @@ def _chain_counts(main: tuple[int, ...], rank) -> Counter:
                 )
             if m:
                 mult[(i, length)] = m
-    rebuilt = [0] * ell
-    for (i, length), m in mult.items():
-        for j, extra in enumerate(run_vector(i, length, ell)):
-            rebuilt[j] += m * extra
-    if tuple(rebuilt) != main:
+    if runs_vector(mult.elements(), ell) != main:
         raise ValueError("chain multiplicities do not fill the dimension vector; "
                          "input is not nilpotent")
     return mult
@@ -294,7 +283,7 @@ def chain_multiplicities(rep: QuiverRep) -> dict[tuple[int, int], int]:
 
 def cyclic_multiplicities(rep: QuiverRep) -> Multipartition:
     """Chain lengths of the unframed part grouped by start vertex."""
-    return _plain_parts(rep.ell, chain_multiplicities(rep))
+    return CircleDiagram(rep.ell, tuple(chain_multiplicities(rep).elements())).multipartition()
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +357,9 @@ class _HomProbing:
     def framed_hom(self, lam: Partition) -> int:
         """dim Hom(framed indecomposable of lam, target) as framed reps."""
         assert self.target.framed, "framed probes need a framed target"
-        ell = self.target.ell
-        f = lam.frobenius()
         columns: list[tuple] = []
         dims_sum = 0
-        for leg, arm in zip(f.legs, f.arms):
-            start = (-arm) % ell
-            length = leg + arm + 1
+        for start, length, arm in frobenius_diagram_of_partition(lam, self.target.ell).chains():
             kernel = self._kernel(start, length)
             dims_sum += len(kernel)
             if self.paths.rank(start, arm):
@@ -453,7 +438,8 @@ def _label_of_chains(ell: int, plain: Counter, quotient: Counter) -> OrbitLabel:
         lam = FrobeniusPartition(tuple(legs), tuple(arms)).partition()
     except ValueError as exc:
         raise AssertionError(f"the chains of M and M/<v> fit no partition: {exc}") from exc
-    return OrbitLabel(lam, _plain_parts(ell, plain & quotient))
+    nu = CircleDiagram(ell, tuple((plain & quotient).elements())).multipartition()
+    return OrbitLabel(lam, nu)
 
 
 def decompose_enhanced(rep: QuiverRep) -> Decomposition:
@@ -472,7 +458,7 @@ def decompose_enhanced(rep: QuiverRep) -> Decomposition:
     paths = _PathComposites(rep)
     plain = _multiplicities(paths)
     if not rep.framed:
-        return Decomposition(None, _plain_parts(rep.ell, plain))
+        return Decomposition(None, CircleDiagram(rep.ell, tuple(plain.elements())).multipartition())
     quotient = _quotient_multiplicities(paths)
     label = _label_of_chains(rep.ell, plain, quotient)
     if _label_invariants(label) != (plain, quotient):

@@ -96,14 +96,6 @@ class RationalMatrix:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in addition")
-        return RationalMatrix(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-            self.ncols,
-        )
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")

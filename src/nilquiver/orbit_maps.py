@@ -34,7 +34,7 @@ from .partitions import (
     enumerate_partitions,
     json_ints,
 )
-from .residues import DimensionVector, OrbitLabel, run_vector
+from .residues import DimensionVector, OrbitLabel, run_vector, runs_vector
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +129,7 @@ def signature(lam: Partition, epsilon, ell: int) -> DimensionVector:
     epsilon = tuple(int(x) for x in epsilon)
     if len(epsilon) != len(lam):
         raise ValueError("one colour per part is required")
-    counts = [0] * ell
-    for part, col in zip(lam.parts, epsilon):
-        for j, extra in enumerate(run_vector(col, part, ell)):
-            counts[j] += extra
-    return DimensionVector(0, tuple(counts))
+    return DimensionVector(0, runs_vector(zip(epsilon, lam.parts), ell))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +305,7 @@ def striped_from_label(label: OrbitLabel) -> StripedBipartition:
     """
     ell = label.ell
     frob, circ = diagrams_of_label(label)
-    kept = [(p, (-o) % ell, p - o) for p, o in frob.circles]
+    kept = [(p, start, p - o) for start, p, o in frob.chains()]
     rows = list(kept)
     for start, length in circ.circles:
         shorter = [nu for p, _, nu in kept if p <= length][:1]

@@ -100,12 +100,6 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    def boxes(self):
-        """Iterate over the (row, column) positions of the Young diagram, 1-based."""
-        for i, part in enumerate(self.parts, start=1):
-            for j in range(1, part + 1):
-                yield (i, j)
-
     def transpose(self) -> "Partition":
         if not self.parts:
             return Partition()

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .circle_diagrams import frobenius_diagram_of_partition
 from .linalg import RationalMatrix, as_fraction, block_diag, fraction_str
 from .orbit_maps import StripedBipartition
 from .partitions import Partition, json_int
@@ -197,11 +198,7 @@ def build_framed(lam: Partition, ell: int) -> QuiverRep:
     to the sum of the marked vectors.  The empty partition gives the zero
     space with framing dimension one and zero framing vector.
     """
-    f = lam.frobenius()
-    chains = [
-        ((-arm) % ell, leg + arm + 1, arm) for leg, arm in zip(f.legs, f.arms)
-    ]
-    rep = _assemble(ell, chains, framed=True)
+    rep = _assemble(ell, list(frobenius_diagram_of_partition(lam, ell).chains()), framed=True)
     assert rep.dims == dim_framed(lam, ell), "chain dimensions must match the residue count"
     return rep
 
@@ -210,14 +207,10 @@ def label_chains(label: OrbitLabel) -> list[tuple[int, int, int | None]]:
     """The chains (start, length, mark offset or None) of a label's canonical
     representative: one marked chain per Frobenius hook of its partition,
     then one unmarked chain per multipartition part."""
-    ell = label.ell
-    f = label.lam.frobenius()
-    chains: list[tuple[int, int, int | None]] = [
-        ((-arm) % ell, leg + arm + 1, arm) for leg, arm in zip(f.legs, f.arms)
-    ]
-    for i, comp in enumerate(label.nu):
-        for length in comp:
-            chains.append((i, length, None))
+    chains: list[tuple[int, int, int | None]] = list(
+        frobenius_diagram_of_partition(label.lam, label.ell).chains()
+    )
+    chains.extend((i, length, None) for i, comp in enumerate(label.nu) for length in comp)
     return chains
 
 

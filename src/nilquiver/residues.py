@@ -24,6 +24,7 @@ Young diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
@@ -100,15 +101,20 @@ def run_vector(start: int, length: int, ell: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def runs_vector(runs, ell: int) -> tuple[int, ...]:
+    """Vertex counts of a sum of runs, each given as (start, length)."""
+    counts = [0] * ell
+    for start, length in runs:
+        for j, extra in enumerate(run_vector(start, length, ell)):
+            counts[j] += extra
+    return tuple(counts)
+
+
 def residue(lam: Partition, ell: int) -> DimensionVector:
-    """Box count of lam by content mod ell."""
+    """Box count of lam by content mod ell: row i is the run from 1 - i."""
     if ell < 1:
         raise ValueError("ell must be positive")
-    counts = [0] * ell
-    for i, part in enumerate(lam.parts, start=1):
-        for c, extra in enumerate(run_vector(1 - i, part, ell)):
-            counts[c] += extra
-    return DimensionVector(0, tuple(counts))
+    return DimensionVector(0, runs_vector(zip(count(0, -1), lam.parts), ell))
 
 
 def column_residue(lam: Partition, ell: int) -> DimensionVector:
@@ -123,12 +129,8 @@ def shifted_residue(nu: Multipartition, ell: int) -> DimensionVector:
     """
     if len(nu) != ell:
         raise ValueError("multipartition length must equal ell")
-    counts = [0] * ell
-    for i, comp in enumerate(nu):
-        for part in comp:
-            for c, extra in enumerate(run_vector(i, part, ell)):
-                counts[c] += extra
-    return DimensionVector(0, tuple(counts))
+    chains = ((i, part) for i, comp in enumerate(nu) for part in comp)
+    return DimensionVector(0, runs_vector(chains, ell))
 
 
 def dim_chain(i: int, length: int, ell: int) -> DimensionVector:

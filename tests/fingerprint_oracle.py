@@ -9,8 +9,10 @@ indecomposables of all candidate partitions match the input's.
 
 from __future__ import annotations
 
-from nilquiver import FrobeniusPartition, OrbitLabel, Partition
-from nilquiver.decomposer import _HomProbing, _multiplicities, _plain_parts
+from collections import Counter
+
+from nilquiver import CircleDiagram, FrobeniusPartition, OrbitLabel, Partition
+from nilquiver.decomposer import _HomProbing, _multiplicities
 from nilquiver.rep_builder import QuiverRep, label_chains
 
 
@@ -35,7 +37,8 @@ def candidate_labels(ell: int, mult: dict[tuple[int, int], int]) -> list[OrbitLa
             key = ((-arm) % ell, length)
             used[key] = used.get(key, 0) + 1
         rest = {key: m - used.get(key, 0) for key, m in mult.items()}
-        found.append(OrbitLabel(lam, _plain_parts(ell, rest)))
+        nu = CircleDiagram(ell, tuple(Counter(rest).elements())).multipartition()
+        found.append(OrbitLabel(lam, nu))
 
     def rec(idx: int, prev_arm: int, prev_leg: int, hooks: list[tuple[int, int]]):
         if idx == len(lengths):
@@ -106,7 +109,8 @@ def fingerprint_decompose(rep: QuiverRep) -> OrbitLabel:
     probing = _HomProbing(rep)
     mult = _multiplicities(probing.paths)
     if not any(rep.framing_vector):
-        return OrbitLabel(Partition(), _plain_parts(rep.ell, mult))
+        nu = CircleDiagram(rep.ell, tuple(mult.elements())).multipartition()
+        return OrbitLabel(Partition(), nu)
     candidates = candidate_labels(rep.ell, mult)
     probes = tuple(sorted({c.lam for c in candidates}, key=lambda p: p.parts))
     fingerprint = tuple(probing.framed_hom(lam) for lam in probes)

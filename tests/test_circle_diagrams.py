@@ -179,11 +179,27 @@ def test_json_roundtrip():
 
 
 def test_dot_roundtrip():
-    for lam, ell in [(Partition([4, 4, 3, 3, 1, 1]), 4), (Partition([2, 1]), 2)]:
-        d = frobenius_diagram_of_partition(lam, ell)
+    # [1] at ell 3 and a circle in blocks 0-1 at ell 4 leave the top blocks
+    # empty: ell is read from the block clusters, not from the nodes
+    for parts, ell in [([4, 4, 3, 3, 1, 1], 4), ([2, 1], 2), ([1], 3)]:
+        d = frobenius_diagram_of_partition(Partition(parts), ell)
         assert from_dot(to_dot(d)) == d
-    c = CircleDiagram(3, ((0, 4), (2, 2), (2, 2)))
-    assert from_dot(to_dot(c)) == c
+    for c in (CircleDiagram(3, ((0, 4), (2, 2), (2, 2))), CircleDiagram(4, ((0, 2),))):
+        assert from_dot(to_dot(c)) == c
+
+
+def test_chains_put_the_mark_in_block_0():
+    for ell in (1, 2, 3, 4):
+        for n in range(10):
+            for lam in enumerate_partitions(n):
+                d = frobenius_diagram_of_partition(lam, ell)
+                chains = d.chains()
+                assert [(p, o) for _, p, o in chains] == list(d.circles)
+                assert all((s + o) % ell == 0 for s, _, o in chains)
+                assert tuple(s for s, _, _ in chains) == d.starts()
+    c = CircleDiagram(3, ((0, 2), (2, 5), (1, 1)))
+    assert c.chains() == ((2, 5, None), (0, 2, None), (1, 1, None))
+    assert CircleDiagram(2, ()).chains() == () == FrobeniusCircleDiagram(2, ()).chains()
 
 
 def test_ascii_render_is_deterministic():

@@ -8,6 +8,7 @@ import pytest
 from enumeration_oracle import enumerate_rows
 
 from nilquiver import (
+    CircleDiagram,
     Multipartition,
     OrbitLabel,
     Partition,
@@ -15,6 +16,8 @@ from nilquiver import (
     build_framed,
     direct_sum,
     enumerate_orbit_labels,
+    frobenius_diagram_of_partition,
+    to_dot,
 )
 from nilquiver import cli
 from nilquiver.cli import main
@@ -23,7 +26,7 @@ from nilquiver.cli import main
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(args, stdin=None):
+def run_cli(args, stdin=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -32,6 +35,7 @@ def run_cli(args, stdin=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
     return out.returncode, out.stdout, out.stderr
 
@@ -247,17 +251,19 @@ def test_render_partition(capsys):
 
 
 def test_render_diagram_dot_parses_back(tmp_path):
-    from nilquiver import frobenius_diagram_of_partition, from_dot
+    from nilquiver import from_dot
 
-    diagram = frobenius_diagram_of_partition(Partition([3, 1]), 2)
-    path = tmp_path / "diagram.json"
-    path.write_text(json.dumps(diagram.to_json()))
-    code, out, _ = run_cli(["render", "--diagram", str(path), "--format", "dot"])
-    assert code == 0
-    assert from_dot(out) == diagram
-    # and the DOT text itself is accepted back as input
-    code, out2, _ = run_cli(["render", "--diagram", "-", "--format", "ascii"], out)
-    assert code == 0
+    # [1] at ell 3 leaves blocks 1 and 2 empty: ell is read from the clusters
+    for parts, ell in [([3, 1], 2), ([1], 3)]:
+        diagram = frobenius_diagram_of_partition(Partition(parts), ell)
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(diagram.to_json()))
+        code, out, _ = run_cli(["render", "--diagram", str(path), "--format", "dot"])
+        assert code == 0
+        assert from_dot(out) == diagram
+        # and the DOT text itself is accepted back as input
+        code, out2, _ = run_cli(["render", "--diagram", "-", "--format", "ascii"], out)
+        assert code == 0 and out2.startswith(f"ell={ell}\n")
 
 
 def test_unreadable_input_exits_2(tmp_path):
@@ -277,6 +283,43 @@ def test_render_rejects_malformed_diagram():
         code, _, err = run_cli(["render", "--diagram", "-"], json.dumps(bad))
         assert code == 2, bad
         assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "circle, field",
+    [
+        ({"start": 0, "len": 2.7, "mark": None}, "len"),
+        ({"start": 0, "len": "3", "mark": None}, "len"),
+        ({"start": "1", "len": 3, "mark": None}, "start"),
+        ({"start": 1, "len": 2, "mark": 1.0}, "mark"),
+    ],
+)
+def test_render_rejects_non_integer_diagram(circle, field):
+    # a float, bool or string is refused, never truncated to another diagram
+    for ell in (2, 1.5, True):
+        bad = {"ell": ell, "circles": [circle]}
+        code, out, err = run_cli(["render", "--diagram", "-"], json.dumps(bad))
+        assert code == 2 and out == "", bad
+        assert "error" in err and (field if ell == 2 else "ell") in err and "Traceback" not in err
+
+
+def test_render_rejects_malformed_dot():
+    # a cycle behind a chain head hung the parser; the rest parsed silently
+    chain = to_dot(CircleDiagram(3, ((0, 3),)))  # c0_0 -> c0_1 -> c0_2
+    pair = to_dot(CircleDiagram(3, ((0, 1), (0, 1))))  # c0_0 and c1_0, both in block 0
+    marked = to_dot(frobenius_diagram_of_partition(Partition([1]), 3))
+    texts = {
+        "cycle behind a head": chain[:-1] + "  c0_2 -> c0_1;\n}",
+        "closed cycle": chain[:-1] + "  c0_2 -> c0_0;\n}",
+        "two successors": chain[:-1] + "  c0_0 -> c0_2;\n}",
+        "undeclared node": chain[:-1] + "  c0_2 -> c9_9;\n}",
+        "block skipped": pair[:-1] + "  c0_0 -> c1_0;\n}",
+        "mark outside block 0": marked.replace('label="0"];', 'label="1"];'),
+    }
+    for name, text in texts.items():
+        code, out, err = run_cli(["render", "--diagram", "-"], text, timeout=10)
+        assert code == 2 and out == "", name
+        assert "error" in err and "Traceback" not in err, name
 
 
 def test_render_rejects_nonpositive_ell():

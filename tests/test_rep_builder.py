@@ -26,6 +26,7 @@ from nilquiver import (
     zero_hits,
 )
 from nilquiver.linalg import RationalMatrix
+from nilquiver.rep_builder import label_chains
 
 P = Partition
 
@@ -175,3 +176,12 @@ def test_quiver_rep_validation():
     rep = build_framed(P([1]), 2)
     with pytest.raises(ValueError):
         QuiverRep(2, rep.dims, rep.maps, (1, 1))
+
+
+def test_label_chains_order():
+    # hooks longest first, each starting at -arm mod ell; then nu by vertex,
+    # parts decreasing
+    label = OrbitLabel(P([4, 2]), Multipartition((P([3, 1]), P([2]))))
+    assert label_chains(label) == [(1, 5, 3), (0, 1, 0), (0, 3, None), (0, 1, None), (1, 2, None)]
+    label = OrbitLabel(P([3, 3, 1]), Multipartition((P(), P([2, 2]), P([1]))))
+    assert label_chains(label) == [(1, 5, 2), (2, 2, 1), (1, 2, None), (1, 2, None), (2, 1, None)]

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -19,6 +20,8 @@ from nilquiver import (
     enumerate_striped,
     from_core_quotient,
     residue,
+    run_vector,
+    runs_vector,
     shifted_residue,
     zero_hits,
 )
@@ -239,3 +242,18 @@ def test_trivial_core_matches_residue_equation():
         # the quotient identifies them with ell-multipartitions of n
         quotients = {ell_quotient_core(lam, ell)[1] for lam in trivial_core}
         assert len(quotients) == len(trivial_core)
+
+
+def test_runs_vector_is_the_sum_of_the_run_vectors():
+    rng = random.Random(9)
+    for ell in range(1, 6):
+        assert runs_vector([], ell) == (0,) * ell
+        for _ in range(60):
+            runs = [(rng.randint(-9, 9), rng.randint(0, 14)) for _ in range(rng.randint(1, 5))]
+            want = [0] * ell
+            for start, length in runs:
+                for k in range(length):
+                    want[(start + k) % ell] += 1
+            summed = tuple(map(sum, zip(*(run_vector(s, p, ell) for s, p in runs))))
+            assert runs_vector(runs, ell) == summed == tuple(want), (runs, ell)
+            assert runs_vector(iter(runs), ell) == summed
