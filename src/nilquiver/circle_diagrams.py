@@ -302,7 +302,8 @@ def to_dot(diagram: "CircleDiagram | FrobeniusCircleDiagram") -> str:
 def from_dot(text: str) -> "CircleDiagram | FrobeniusCircleDiagram":
     """Rebuild a diagram from the DOT text emitted by :func:`to_dot`.
 
-    ell is read from the block clusters.  Every arrow must join declared
+    ell is read from the block clusters, so DOT text with clusters but no
+    nodes is the empty diagram of that ell.  Every arrow must join declared
     nodes, no node may have two arrows out or in or lie on a cycle, and
     each arrow must step to the next block; anything else raises
     ValueError.
@@ -327,8 +328,8 @@ def from_dot(text: str) -> "CircleDiagram | FrobeniusCircleDiagram":
             if a in succ or b in pred:
                 raise ValueError(f"{a if a in succ else b} has two arrows out or in")
             succ[a], pred[b] = b, a
-    if not blocks:
-        raise ValueError("no diagram nodes found in DOT text")
+    if not ell:
+        raise ValueError("no block clusters found in DOT text")
     for name in sorted(succ.keys() | pred.keys() | blocks.keys()):
         if name not in blocks:
             raise ValueError(f"arrow to the undeclared node {name}")

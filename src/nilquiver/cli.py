@@ -45,7 +45,7 @@ from .residues import (
     ell_quotient_core,
     enumerate_orbit_labels,
     from_core_quotient,
-    run_vector,
+    runs_vector,
 )
 from .rep_type import classify, tits_form, wildness_witness
 
@@ -77,31 +77,40 @@ def _cmd_enumerate(args) -> int:
     if args.x is not None:
         labels = [lbl for lbl in labels if lbl.lam.weight(ell) <= args.x]
     target = delta(ell, args.n).main
-    runs: dict[tuple[int, int], tuple[int, ...]] = {}
+    # nu components are shared between labels, so each (vertex, component)
+    # is rendered and summed into a dimension vector once
+    components: dict[tuple[int, Partition], tuple[str, str, tuple[int, ...]]] = {}
     rows = []
     bad = 0
-    # the labels come sorted by partition first, so each partition's marked
-    # diagram and column residue are computed once per run of equal lam
+    # the labels come sorted by partition first, so each partition's text,
+    # marked diagram and column residue are computed once per run of equal lam
     for lam, group in itertools.groupby(labels, key=lambda lbl: lbl.lam):
         frob = frobenius_diagram_of_partition(lam, ell)
         marked = ",".join(f"(len={p},mark={o})" for p, o in frob.circles) or "-"
         cres = column_residue(lam, ell).main
+        head = f"label=({lam};("
         for lbl in group:
-            main = list(cres)
-            plain = []
-            for i, comp in enumerate(lbl.nu):
-                for length in comp:
-                    run = runs.get((i, length))
-                    if run is None:
-                        run = runs[i, length] = run_vector(i, length, ell)
-                    main = [a + b for a, b in zip(main, run)]
-                    plain.append(f"({i},{length})")
+            main = cres
+            texts, plain = [], []
+            for key in enumerate(lbl.nu):
+                if key not in components:
+                    i, comp = key
+                    components[key] = (
+                        str(comp),
+                        ",".join(f"({i},{length})" for length in comp),
+                        runs_vector(((i, length) for length in comp), ell),
+                    )
+                text, chains, vector = components[key]
+                texts.append(text)
+                if chains:
+                    plain.append(chains)
+                main = tuple(a + b for a, b in zip(main, vector))
             dv = DimensionVector(1, main)
             check = "ok" if dv.main == target else "BAD"
             if check == "BAD":
                 bad += 1
             rows.append(
-                f"label={lbl}  marked=[{marked}]  plain=[{','.join(plain) or '-'}]  "
+                f"{head}{','.join(texts)}))  marked=[{marked}]  plain=[{','.join(plain) or '-'}]  "
                 f"dims={dv}  [{check}]\n"
             )
     rows.append(f"total: {len(labels)}\n")

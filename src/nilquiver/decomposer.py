@@ -32,12 +32,18 @@ glued one.  Hence F = A - B (multiset difference) lists the framed chains,
 G = B - A the glued ones (G_K is absent when a_K = 0), and nu = A & B; the
 hooks come back from the pairing of F and G by rank (``_label_of_chains``).
 
-Linear algebra runs only on the input and takes no nullspace: its path
-composites are formed once each in one table (``_PathComposites``) that
-serves both rank tables and the nilpotency certificate.  Every answer is
-certified: the label's forward invariants (``_label_invariants``) must
-reproduce (A, B).  ``framed_jordan_type`` (the centralizer invariant of a
-marked Jordan matrix) and ``hom_fingerprint`` are independent test oracles.
+Linear algebra runs only on the input and takes no nullspace.  From each
+start vertex i the composites P(i, L) of L arrows are formed once each, as
+the next arrow applied to the previous composite's columns, and one
+fraction-free elimination of [P(i, L) | K_{i+L}] per path step
+(``_rank_tables``; K_j the span of the Krylov vectors x^k v at vertex j)
+gives both rank tables: the pivots among P's columns give the path rank
+of M, all pivots less dim K_{i+L} that of M/<v>.  A composite of
+``dims.total`` arrows that does not vanish certifies that the cycle is not
+nilpotent.  Every answer is certified: the label's forward invariants
+(``_label_invariants``) must reproduce (A, B).  ``framed_jordan_type``
+(the centralizer invariant of a marked Jordan matrix) and
+``hom_fingerprint`` are independent test oracles.
 
 Everything is computed over exact rationals; an answer is either certified
 or an error is raised, never silently guessed.
@@ -45,10 +51,10 @@ or an error is raised, never silently guessed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .circle_diagrams import CircleDiagram, frobenius_diagram_of_partition
 from .linalg import RationalMatrix, from_columns
@@ -156,53 +162,78 @@ def framed_jordan_type(v: tuple, x: RationalMatrix) -> Bipartition:
 
 
 # ---------------------------------------------------------------------------
-# unframed multiplicities
+# path ranks and chain multiplicities
 # ---------------------------------------------------------------------------
 
 
-class _PathComposites:
-    """The path composites of one representation, each formed at most once.
+def _krylov_spans(rep: QuiverRep) -> list[list[tuple]]:
+    """The Krylov vectors x^k v of a framed input, vector k at vertex k mod
+    ell, grouped by vertex; empty lists for an unframed input or v = 0.
 
-    From each start vertex the composites of 0, 1, 2, ... arrows are built
-    on demand, one product per length, and ranked.  Once a composite
-    vanishes every longer one from that vertex does too, so no product is
-    formed past it.
+    The walk stops at the first zero vector or after ``dims.total`` steps,
+    which a nilpotent cycle never needs: every chain has at most ``total``
+    vectors.  A v with a component in a non-nilpotent part thus ends the
+    walk too, and the rank table reports the cycle.
     """
-
-    def __init__(self, rep: QuiverRep):
-        self.rep = rep
-        self._rows: dict[int, list[tuple[RationalMatrix, int]]] = {}
-
-    def _row(self, start: int, length: int) -> list[tuple[RationalMatrix, int]]:
-        """(composite, rank) per length from ``start``, up to ``length`` or
-        to the first zero composite."""
-        row = self._rows.get(start)
-        if row is None:
-            identity = RationalMatrix.identity(self.rep.dims.main[start])
-            row = self._rows[start] = [(identity, identity.nrows)]
-        while len(row) <= length and row[-1][1]:
-            at = (start + len(row) - 1) % self.rep.ell
-            composite = self.rep.maps[at] @ row[-1][0]
-            row.append((composite, composite.rank()))
-        return row
-
-    def path(self, start: int, length: int) -> RationalMatrix:
-        """Composite of ``length`` arrows beginning at ``start``."""
-        row = self._row(start, length)
-        if length < len(row):
-            return row[length][0]
-        main = self.rep.dims.main
-        return RationalMatrix.zero(main[(start + length) % self.rep.ell], main[start])
-
-    def rank(self, start: int, length: int) -> int:
-        row = self._row(start, length)
-        return row[length][1] if length < len(row) else 0
+    spans: list[list[tuple]] = [[] for _ in range(rep.ell)]
+    w = rep.framing_vector
+    for k in range(rep.dims.total):
+        if not any(w):
+            break
+        spans[k % rep.ell].append(w)
+        w = rep.maps[k % rep.ell].apply(w)
+    return spans
 
 
-def _chain_counts(main: tuple[int, ...], rank) -> Counter:
-    """Chain multiplicities from the path ranks ``rank(i, L)`` of a
-    nilpotent representation with dimension vector ``main``."""
+def _rank_tables(rep: QuiverRep, spans: list[list[tuple]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Path ranks r(i, L) of M and r'(i, L) of M/K, one elimination per
+    path step, as one list per start vertex i (zero past its end).
+
+    K_j = ``spans[j]`` holds independent vectors at vertex j spanning an
+    x-stable subspace.  The composite P(i, L) of L arrows is kept as its
+    columns: the first arrow's own, then each next arrow applied to them.
+    One elimination of [P(i, L) | K_{i+L}], P's columns first, gives both
+    ranks: the pivots among P's columns count r(i, L), and all pivots less
+    dim K_{i+L} count r'(i, L), the rank of the induced map
+    M_i/K_i -> M_{i+L}/K_{i+L}.  A row ends at its first zero composite; a
+    nonzero composite of ``dims.total`` arrows means the cycle is not
+    nilpotent (ValueError).
+    """
+    ell, main, total = rep.ell, rep.dims.main, rep.dims.total
+    plain: list[list[int]] = []
+    quotient: list[list[int]] = []
+    for i in range(ell):
+        plain_row, quotient_row = [main[i]], [main[i] - len(spans[i])]
+        columns = list(rep.maps[i].transpose().rows)
+        for length in range(1, total + 1):
+            if not any(map(any, columns)):
+                break
+            end = (i + length) % ell
+            span = spans[end]
+            pivots = from_columns(columns + span, main[end]).pivot_columns()
+            rank = bisect_left(pivots, len(columns))
+            if length == total:
+                raise ValueError(
+                    f"cycle map is not nilpotent: the composite of {total} arrows "
+                    f"from vertex {i} has rank {rank}"
+                )
+            plain_row.append(rank)
+            quotient_row.append(len(pivots) - len(span))
+            columns = [rep.maps[end].apply(c) for c in columns]
+        plain.append(plain_row)
+        quotient.append(quotient_row)
+    return plain, quotient
+
+
+def _chain_counts(main: tuple[int, ...], ranks: list[list[int]]) -> Counter:
+    """Chain multiplicities from the path ranks (``ranks[i][L]``, zero past
+    the end of the row) of a nilpotent representation with dimension vector
+    ``main``."""
     ell = len(main)
+
+    def rank(i: int, length: int) -> int:
+        return ranks[i][length] if length < len(ranks[i]) else 0
+
     mult: Counter = Counter()
     for i in range(ell):
         for length in range(1, sum(main) + 1):
@@ -224,52 +255,6 @@ def _chain_counts(main: tuple[int, ...], rank) -> Counter:
     return mult
 
 
-def _multiplicities(paths: _PathComposites) -> Counter:
-    """``chain_multiplicities`` from a representation's composite table."""
-    rep = paths.rep
-    total = rep.dims.total
-    # every chain has at most `total` vectors, so a nilpotent input kills
-    # each composite of `total` arrows; otherwise the cycle is not nilpotent
-    for i in range(rep.ell):
-        if paths.rank(i, total):
-            raise ValueError(
-                f"cycle map is not nilpotent: the composite of {total} arrows "
-                f"from vertex {i} has rank {paths.rank(i, total)}"
-            )
-    return _chain_counts(rep.dims.main, paths.rank)
-
-
-def _quotient_multiplicities(paths: _PathComposites) -> Counter:
-    """Chain multiplicities of M/<v>, for a framed M whose cycle is nilpotent.
-
-    <v> is spanned by the Krylov vectors x^k v, vector k at vertex k mod ell;
-    those at one vertex are independent, so with K_j their span at vertex j
-    the induced composite of L arrows from vertex i has rank
-    rank[P(i, L) | K_{i+L}] - dim K_{i+L}.
-    """
-    rep = paths.rep
-    ell = rep.ell
-    krylov: list[list[tuple]] = [[] for _ in range(ell)]
-    w, k = rep.framing_vector, 0
-    while any(w):
-        krylov[k % ell].append(w)
-        w = rep.maps[k % ell].apply(w)
-        k += 1
-
-    @cache
-    def rank(i: int, length: int) -> int:
-        span = krylov[(i + length) % ell]
-        r = paths.rank(i, length)
-        if r and span:
-            p = paths.path(i, length)
-            rows = tuple(row + tuple(u[j] for u in span) for j, row in enumerate(p.rows))
-            r = RationalMatrix(rows, p.ncols + len(span)).rank() - len(span)
-        return r
-
-    main = tuple(d - len(span) for d, span in zip(rep.dims.main, krylov))
-    return _chain_counts(main, rank)
-
-
 def chain_multiplicities(rep: QuiverRep) -> dict[tuple[int, int], int]:
     """Multiplicity of each chain summand (start, length) of the unframed part.
 
@@ -278,7 +263,8 @@ def chain_multiplicities(rep: QuiverRep) -> dict[tuple[int, int], int]:
     r(i, N-1) - r(i, N) - r(i-1, N) + r(i-1, N+1) times.  Raises when the
     cycle map is not nilpotent.
     """
-    return _multiplicities(_PathComposites(rep))
+    plain, _ = _rank_tables(rep, [[] for _ in range(rep.ell)])
+    return _chain_counts(rep.dims.main, plain)
 
 
 def cyclic_multiplicities(rep: QuiverRep) -> Multipartition:
@@ -336,6 +322,33 @@ def hom_dim(a: QuiverRep, b: QuiverRep) -> int:
     return nvars - RationalMatrix(tuple(rows), nvars).rank()
 
 
+class _PathComposites:
+    """The path composites of one representation, each formed at most once,
+    for the hom probes, which need the matrices themselves.
+
+    From each start vertex the composites of 0, 1, 2, ... arrows are built
+    on demand, one product per length.  Once a composite vanishes every
+    longer one from that vertex does too, so no product is formed past it.
+    """
+
+    def __init__(self, rep: QuiverRep):
+        self.rep = rep
+        self._rows: dict[int, list[RationalMatrix]] = {}
+
+    def path(self, start: int, length: int) -> RationalMatrix:
+        """Composite of ``length`` arrows beginning at ``start``."""
+        row = self._rows.get(start)
+        if row is None:
+            row = self._rows[start] = [RationalMatrix.identity(self.rep.dims.main[start])]
+        while len(row) <= length and not row[-1].is_zero():
+            at = (start + len(row) - 1) % self.rep.ell
+            row.append(self.rep.maps[at] @ row[-1])
+        if length < len(row):
+            return row[length]
+        main = self.rep.dims.main
+        return RationalMatrix.zero(main[(start + length) % self.rep.ell], main[start])
+
+
 class _HomProbing:
     """Fast hom dimensions from chain-built probes into one fixed target."""
 
@@ -362,9 +375,8 @@ class _HomProbing:
         for start, length, arm in frobenius_diagram_of_partition(lam, self.target.ell).chains():
             kernel = self._kernel(start, length)
             dims_sum += len(kernel)
-            if self.paths.rank(start, arm):
-                mark_path = self.paths.path(start, arm)
-                columns.extend(mark_path.apply(w) for w in kernel)
+            mark_path = self.paths.path(start, arm)
+            columns.extend(mark_path.apply(w) for w in kernel)
         columns.append(tuple(-x for x in self.target.framing_vector))
         d0 = self.target.dims.main[0]
         rank = from_columns(columns, d0).rank()
@@ -445,8 +457,10 @@ def _label_of_chains(ell: int, plain: Counter, quotient: Counter) -> OrbitLabel:
 def decompose_enhanced(rep: QuiverRep) -> Decomposition:
     """Decompose a nilpotent representation into its canonical label.
 
-    The chain multiplicities A of M come from its path ranks; for a framed
-    input, those of M/<v>, B, from the quotient path ranks.  Gluing lemma:
+    The chain multiplicities A of M and, for a framed input, B of M/<v>
+    come from one rank table pass (``_rank_tables``): per path step, one
+    elimination of the composite's columns followed by the Krylov vectors
+    x^k v at its end vertex gives the path ranks of both.  Gluing lemma:
     M/<v> keeps the plain chains and glues the head of hook chain c to the
     tail of hook chain c+1 (proof: modulo v the end of head c, summed with
     the heads before it, maps to minus the sum of the marks after it; see
@@ -455,11 +469,13 @@ def decompose_enhanced(rep: QuiverRep) -> Decomposition:
     and the empty partition.  The label's own (A, B) must equal the
     input's, else AssertionError; a non-nilpotent input raises ValueError.
     """
-    paths = _PathComposites(rep)
-    plain = _multiplicities(paths)
+    spans = _krylov_spans(rep)
+    plain_ranks, quotient_ranks = _rank_tables(rep, spans)
+    plain = _chain_counts(rep.dims.main, plain_ranks)
     if not rep.framed:
         return Decomposition(None, CircleDiagram(rep.ell, tuple(plain.elements())).multipartition())
-    quotient = _quotient_multiplicities(paths)
+    main = tuple(d - len(span) for d, span in zip(rep.dims.main, spans))
+    quotient = _chain_counts(main, quotient_ranks)
     label = _label_of_chains(rep.ell, plain, quotient)
     if _label_invariants(label) != (plain, quotient):
         raise AssertionError(f"label {label} does not reproduce the chains of M and M/<v>")

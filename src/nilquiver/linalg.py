@@ -124,14 +124,21 @@ class RationalMatrix:
     # -- rank and kernel -----------------------------------------------------
 
     def rank(self) -> int:
-        """Rank by fraction-free (Bareiss) elimination on cleared rows."""
+        """The number of pivot columns."""
+        return len(self.pivot_columns())
+
+    def pivot_columns(self) -> list[int]:
+        """Pivot columns of fraction-free (Bareiss) elimination on cleared
+        rows, left to right: each is independent of the columns before it,
+        so the pivots among the first k columns count their rank."""
         if self.nrows == 0 or self.ncols == 0:
-            return 0
+            return []
         m = []
         for row in self.rows:
             den = lcm(*(x.denominator for x in row)) if row else 1
             m.append([int(x * den) for x in row])
         nrows, ncols = self.nrows, self.ncols
+        pivots: list[int] = []
         r = 0
         prev = 1
         for c in range(ncols):
@@ -148,10 +155,11 @@ class RationalMatrix:
                 for j in range(ncols):
                     mi[j] = (mi[j] * lead - head * mr[j]) // prev
             prev = m[r][c]
+            pivots.append(c)
             r += 1
             if r == nrows:
                 break
-        return r
+        return pivots
 
     def rref(self) -> tuple[list[int], list[list[Fraction]]]:
         """Reduced row echelon form; returns (pivot columns, reduced rows)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 
 from nilquiver import CircleDiagram, FrobeniusPartition, OrbitLabel, Partition
-from nilquiver.decomposer import _HomProbing, _multiplicities
+from nilquiver.decomposer import _HomProbing, chain_multiplicities
 from nilquiver.rep_builder import QuiverRep, label_chains
 
 
@@ -107,7 +107,7 @@ def fingerprint_decompose(rep: QuiverRep) -> OrbitLabel:
     the candidates allowed by its chain multiplicities, matched by the hom
     dimensions from each candidate partition's framed indecomposable."""
     probing = _HomProbing(rep)
-    mult = _multiplicities(probing.paths)
+    mult = chain_multiplicities(rep)
     if not any(rep.framing_vector):
         nu = CircleDiagram(rep.ell, tuple(mult.elements())).multipartition()
         return OrbitLabel(Partition(), nu)

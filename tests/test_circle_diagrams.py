@@ -184,7 +184,7 @@ def test_dot_roundtrip():
     for parts, ell in [([4, 4, 3, 3, 1, 1], 4), ([2, 1], 2), ([1], 3)]:
         d = frobenius_diagram_of_partition(Partition(parts), ell)
         assert from_dot(to_dot(d)) == d
-    for c in (CircleDiagram(3, ((0, 4), (2, 2), (2, 2))), CircleDiagram(4, ((0, 2),))):
+    for c in (CircleDiagram(3, ((0, 4), (2, 2), (2, 2))), CircleDiagram(4, ((0, 2),)), CircleDiagram(2, ())):
         assert from_dot(to_dot(c)) == c
 
 

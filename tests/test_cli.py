@@ -322,6 +322,33 @@ def test_render_rejects_malformed_dot():
         assert "error" in err and "Traceback" not in err, name
 
 
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_empty_diagram_dot_reads_back(ell):
+    # DOT with clusters but no nodes is the empty diagram of that ell
+    code, dot, err = run_cli(["render", "--partition", "[]", "--ell", str(ell), "--format", "dot"])
+    assert code == 0 and err == ""
+    assert dot.count("subgraph cluster_") == ell
+    code, out, err = run_cli(["render", "--diagram", "-", "--format", "dot"], dot, timeout=10)
+    assert (code, out, err) == (0, dot, "")
+
+
+def test_decompose_reports_a_cycle_that_is_not_nilpotent(tmp_path):
+    # v = e0 + e1 has a component in the part where the cycle at vertex 0
+    # acts as the identity, so the walk x^k v never reaches zero
+    rep = {
+        "ell": 2,
+        "dims": {"framing": 1, "main": [2, 1]},
+        "maps": [[["0", "1"]], [["0"], ["1"]]],
+        "framing_vector": ["1", "1"],
+    }
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    code, out, err = run_cli(["decompose", "--input", str(path)], timeout=10)
+    assert code == 2 and out == ""
+    assert "cycle map is not nilpotent: the composite of 3 arrows from vertex 0 has rank 1" in err
+    assert "Traceback" not in err
+
+
 def test_render_rejects_nonpositive_ell():
     for ell in ("0", "-1"):
         code, out, err = run_cli(["render", "--partition", "[2,1]", "--ell", ell])

@@ -34,11 +34,12 @@ from nilquiver import (
     random_base_change,
     striped_label,
 )
-from nilquiver.decomposer import _label_invariants, _label_of_chains
+from nilquiver.decomposer import _krylov_spans, _label_invariants, _label_of_chains, _rank_tables
 from nilquiver.linalg import RationalMatrix
 from nilquiver.rep_builder import QuiverRep, random_invertible
 
 from fingerprint_oracle import candidate_labels, fingerprint_decompose, label_fingerprint
+from rank_oracle import path_ranks
 
 P = Partition
 
@@ -379,6 +380,16 @@ NON_UNIT = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(
 )
 
 
+def rescaled(rep, factors):
+    """Every arrow and then the framing vector scaled by its own factor."""
+    maps = tuple(
+        RationalMatrix(tuple(tuple(c * x for x in row) for row in m.rows), m.ncols)
+        for m, c in zip(rep.maps, factors)
+    )
+    framing = tuple(factors[-1] * x for x in rep.framing_vector)
+    return QuiverRep(rep.ell, rep.dims, maps, framing)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(label=st.sampled_from(RESCALE_LABELS), seed=st.integers(0, 2**16), data=st.data())
 def test_decompose_survives_rational_rescaling(label, seed, data):
@@ -386,17 +397,40 @@ def test_decompose_survives_rational_rescaling(label, seed, data):
     # orbit: in a chain basis it is undone by rescaling each chain's vectors
     rep = random_base_change(build_label_rep(label), random.Random(seed))
     factors = data.draw(st.lists(NON_UNIT, min_size=label.ell + 1, max_size=label.ell + 1))
-    maps = tuple(
-        RationalMatrix(tuple(tuple(c * x for x in row) for row in m.rows), m.ncols)
-        for m, c in zip(rep.maps, factors)
-    )
-    framing = tuple(factors[-1] * x for x in rep.framing_vector)
-    scaled = QuiverRep(rep.ell, rep.dims, maps, framing)
+    scaled = rescaled(rep, factors)
     assert decompose_enhanced(scaled).label() == label
     if label.ell == 1:
         pair = framed_jordan_type(scaled.framing_vector, scaled.maps[0])
         eta, zeta = bipartition_to_label(pair.first, pair.second)
         assert OrbitLabel(eta, Multipartition((zeta,))) == label
+
+
+def assert_rank_tables_match_the_oracle(rep):
+    plain, quotient = _rank_tables(rep, _krylov_spans(rep))
+    want = path_ranks(rep)
+    for i in range(rep.ell):
+        for length in range(rep.dims.total + 1):
+            got = tuple(row[i][length] if length < len(row[i]) else 0 for row in (plain, quotient))
+            assert got == want.get((i, length), (0, 0)), (i, length)
+
+
+# the cones of the rank-table check; a cone of 80 labels or more is sampled
+# with an even stride, 40 to 80 of its labels (all 13,158 take minutes)
+RANK_CONES = [(1, n) for n in range(9)] + [(2, n) for n in range(6)]
+RANK_CONES += [(3, n) for n in range(5)] + [(4, n) for n in range(4)]
+
+
+@pytest.mark.parametrize("ell, n", RANK_CONES)
+def test_rank_tables_match_the_two_elimination_route(ell, n):
+    # one elimination of [P(i, L) | K] per path step gives the same ranks of
+    # M and M/<v> as ranking P(i, L) and [P(i, L) | K] apart
+    rng = random.Random(1000 * ell + n)
+    labels = enumerate_orbit_labels(n, ell)
+    for label in labels[:: max(1, len(labels) // 40)]:
+        rep = build_label_rep(label)
+        factors = [Fraction(rng.choice((-3, -2, 2, 3, 5)), rng.choice((1, 2, 7))) for _ in range(ell + 1)]
+        assert_rank_tables_match_the_oracle(rescaled(rep, factors))
+        assert_rank_tables_match_the_oracle(random_base_change(rep, rng))
 
 
 def test_one_vertex_multiplicities_agree_with_jordan_type():

@@ -36,6 +36,24 @@ def test_rank_against_gauss_oracle():
         assert m.rank() == fraction_gauss_rank(rows, nc)
 
 
+def test_pivot_columns_count_the_rank_of_every_prefix():
+    # a pivot column is independent of the columns before it, so the pivots
+    # among the first k columns are as many as the rank of those columns
+    rng = random.Random(12)
+    for _ in range(200):
+        nr = rng.randint(0, 5)
+        nc = rng.randint(1, 7)
+        rows = tuple(
+            tuple(Fraction(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 3)) for _ in range(nc))
+            for _ in range(nr)
+        )
+        pivots = RationalMatrix(rows, nc).pivot_columns()
+        assert pivots == sorted(set(pivots))
+        for k in range(nc + 1):
+            prefix = tuple(row[:k] for row in rows)
+            assert sum(c < k for c in pivots) == fraction_gauss_rank(prefix, k)
+
+
 def test_rank_edge_cases():
     assert RationalMatrix.zero(3, 4).rank() == 0
     assert RationalMatrix.identity(5).rank() == 5
