@@ -1,10 +1,12 @@
 """Translating between the three orbit labellings.
 
 One-vertex orbits carry a normal-form bipartition (mu; nu): the Jordan
-matrix has type mu + nu and row i is marked in column mu_i.  Deleting the
-removable rows translates this into the canonical label.  The cyclic
-analogue starts from a striped bipartition (coloured rows plus a marking
-function).  Both inverses are built from the label's circle diagrams.
+matrix has type mu + nu and row i is marked in column mu_i.  It is the
+striped bipartition of ell = 1 with markings mu, and deleting its
+removable rows translates it into the canonical label.  The cyclic case
+starts from a striped bipartition (coloured rows plus a marking function)
+and deletes rows by the same rule.  Both inverses are built from the
+label's circle diagrams.
 
 Run with:  python3 demos/04_label_translations.py
 """
@@ -12,9 +14,9 @@ Run with:  python3 demos/04_label_translations.py
 from nilquiver import (
     Partition,
     StripedBipartition,
+    bipartition_as_striped,
     bipartition_to_label,
     label_to_bipartition,
-    removable_rows,
     removable_rows_cyclic,
     striped_from_label,
     striped_label,
@@ -23,7 +25,7 @@ from nilquiver import (
 
 mu, nu = Partition([4, 4, 3, 1]), Partition([3, 2, 2])
 print(f"bipartition ({mu};{nu})")
-print(f"removable rows: {sorted(removable_rows(mu, nu))}")
+print(f"removable rows: {sorted(removable_rows_cyclic(bipartition_as_striped(mu, nu)))}")
 eta, zeta = bipartition_to_label(mu, nu)
 print(f"canonical label: ({eta};{zeta})")
 print(f"inverse: {label_to_bipartition(eta, zeta)}")

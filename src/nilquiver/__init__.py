@@ -56,7 +56,6 @@ from .orbit_maps import (
     enumerate_striped,
     label_of_diagrams,
     label_to_bipartition,
-    removable_rows,
     removable_rows_cyclic,
     signature,
     striped_from_label,

@@ -153,6 +153,11 @@ class FrobeniusCircleDiagram(_Diagram):
         start, length, _ = self.chains()[0]
         return zero_hits(start, length, self.ell)
 
+    def to_json(self) -> dict:
+        """The shared JSON form with ``"marked": true``, so that the empty
+        marked diagram reads back as marked."""
+        return {**_Diagram.to_json(self), "marked": True}
+
     def __str__(self) -> str:
         inner = ", ".join(f"(len={p}, mark={o})" for p, o in self.circles)
         return f"FrobeniusCircleDiagram(ell={self.ell}, [{inner}])"
@@ -178,13 +183,18 @@ def _diagram_of_chains(
 def diagram_from_json(data: dict) -> "CircleDiagram | FrobeniusCircleDiagram":
     """Parse the shared JSON form; marked circles yield a Frobenius diagram.
 
-    Any other shape raises ValueError."""
+    An optional ``"marked"`` flag says which kind is meant, which only
+    matters for the empty diagram; circles whose marks contradict it, and
+    any other shape, raise ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"diagram JSON must be an object, not {type(data).__name__}")
     try:
         ell = json_int(data["ell"], "ell")
         if ell < 1:
             raise ValueError("ell must be positive")
+        marked = data.get("marked")
+        if marked is not None and not isinstance(marked, bool):
+            raise ValueError(f"marked must be true or false, not {marked!r}")
         chains = [
             (
                 json_int(c["start"], "start"),
@@ -197,7 +207,12 @@ def diagram_from_json(data: dict) -> "CircleDiagram | FrobeniusCircleDiagram":
         raise ValueError(f"diagram JSON lacks the key {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed diagram JSON: {exc}") from exc
-    return _diagram_of_chains(ell, chains)
+    if marked and not chains:
+        return FrobeniusCircleDiagram(ell, ())
+    diagram = _diagram_of_chains(ell, chains)
+    if marked is not None and marked != isinstance(diagram, FrobeniusCircleDiagram):
+        raise ValueError(f"marked={marked} contradicts the circles' marks")
+    return diagram
 
 
 def diagram_of_coloured_partition(lam: Partition, colours, ell: int) -> CircleDiagram:

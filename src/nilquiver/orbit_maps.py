@@ -11,10 +11,13 @@ Three label styles coexist for orbits in the framed nilpotent cone:
 * the canonical label (lambda; nu) naming the framed indecomposable summand
   and the unframed chain summands directly.
 
-The first two styles translate into the third by deleting "removable" rows,
-which split off as unframed chains, and reading the remaining rows as a
-marked circle diagram.  The inverses are built from the label's circle
-diagrams, not found by search, and are certified by their forward maps.
+A striped bipartition translates into a canonical label by deleting its
+"removable" rows, which split off as unframed chains, and reading the
+remaining rows as a marked circle diagram.  A normal-form bipartition is
+the striped bipartition of ell = 1 whose markings are mu, so one
+row-removal rule serves both.  The inverses are built from the label's
+circle diagrams, not found by search, and are certified by their forward
+maps.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .circle_diagrams import (
 )
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
-    FrobeniusPartition,
     Multipartition,
     Partition,
     enumerate_partitions,
@@ -133,87 +135,7 @@ def signature(lam: Partition, epsilon, ell: int) -> DimensionVector:
 
 
 # ---------------------------------------------------------------------------
-# removable rows, one-vertex case
-# ---------------------------------------------------------------------------
-
-
-def _removal_conditions(mu: list[int], nu: list[int]) -> int | None:
-    """Smallest removable row (1-based) of the current state, or None.
-
-    Row i is removable when mu_i = mu_{i+1} (with mu_{k+1} = 0 understood
-    only through the final-row rule), nu_{i-1} = nu_i, or i is the last row
-    and mu_k = 0.
-    """
-    k = len(mu)
-    for i in range(1, k + 1):
-        if i < k and mu[i - 1] == mu[i]:
-            return i
-        if i >= 2 and nu[i - 2] == nu[i - 1]:
-            return i
-        if i == k and mu[i - 1] == 0:
-            return i
-    return None
-
-
-def removable_rows(mu: Partition, nu: Partition) -> frozenset[int]:
-    """Rows of lam = mu + nu that split off as unframed chains (1-based).
-
-    Removal is greedy: the conditions are re-evaluated on the shrunken pair
-    after each deletion, which is what makes ties in constant runs shed
-    exactly the right number of rows.  The returned indices refer to the
-    original rows.
-    """
-    k = max(len(mu), len(nu))
-    rows = list(zip((mu[i] for i in range(k)), (nu[i] for i in range(k))))
-    if any(a + b < c + d for (a, b), (c, d) in zip(rows, rows[1:])):
-        raise ValueError("mu + nu is not a partition")
-    original = list(range(1, k + 1))
-    removed: set[int] = set()
-    while True:
-        cur_mu = [m for m, _ in rows]
-        cur_nu = [n for _, n in rows]
-        i = _removal_conditions(cur_mu, cur_nu)
-        if i is None:
-            break
-        removed.add(original[i - 1])
-        del rows[i - 1]
-        del original[i - 1]
-    return frozenset(removed)
-
-
-def bipartition_to_label(mu: Partition, nu: Partition) -> tuple[Partition, Partition]:
-    """Translate a normal-form bipartition into (framed partition, chain parts).
-
-    The removable rows contribute their full lengths as unframed chains;
-    the surviving rows, with one box less in the mu direction, are the
-    Frobenius coordinates (legs, arms) = (mu - 1, nu) of the framed
-    partition.
-    """
-    k = max(len(mu), len(nu))
-    removed = removable_rows(mu, nu)
-    zeta = Partition(sorted((mu[i - 1] + nu[i - 1] for i in removed), reverse=True))
-    kept = [i for i in range(1, k + 1) if i not in removed]
-    legs = tuple(mu[i - 1] - 1 for i in kept)
-    arms = tuple(nu[i - 1] for i in kept)
-    assert all(x >= 0 for x in legs), "surviving rows must keep a positive mark"
-    eta = FrobeniusPartition(legs, arms).partition()
-    assert eta.size + zeta.size == mu.size + nu.size, "boxes must be conserved"
-    return eta, zeta
-
-
-def label_to_bipartition(eta: Partition, zeta: Partition) -> tuple[Partition, Partition]:
-    """Inverse of :func:`bipartition_to_label`: the ell = 1 striped preimage
-    of the label, read back through :func:`bipartition_as_striped` (markings
-    mu, boxes right of the marks nu), certified by the forward map."""
-    s = striped_from_label(OrbitLabel(eta, Multipartition((zeta,))))
-    mu, nu = Partition(s.nu), Partition(s.mu)
-    if bipartition_to_label(mu, nu) != (eta, zeta):
-        raise AssertionError(f"({mu};{nu}) does not translate back to ({eta};{zeta})")
-    return mu, nu
-
-
-# ---------------------------------------------------------------------------
-# removable rows, cyclic case
+# removable rows and the cyclic translation
 # ---------------------------------------------------------------------------
 
 
@@ -321,6 +243,43 @@ def striped_from_label(label: OrbitLabel) -> StripedBipartition:
 
 
 # ---------------------------------------------------------------------------
+# the one-vertex case
+# ---------------------------------------------------------------------------
+
+
+def bipartition_as_striped(mu: Partition, nu: Partition) -> StripedBipartition:
+    """Encode a one-vertex bipartition as a striped bipartition: rows of
+    lam = mu + nu, all colours 0, markings mu."""
+    k = max(len(mu), len(nu))
+    lam = Partition(mu[i] + nu[i] for i in range(k))
+    return StripedBipartition(1, lam, (0,) * k, tuple(mu[i] for i in range(k)))
+
+
+def bipartition_to_label(mu: Partition, nu: Partition) -> tuple[Partition, Partition]:
+    """Translate a normal-form bipartition into (framed partition, chain parts).
+
+    This is the ell = 1 case of :func:`striped_label`: the bipartition is
+    read as the striped rows of :func:`bipartition_as_striped`, the
+    removable rows contribute their full lengths as unframed chains, and
+    the surviving rows (legs, arms) = (mu - 1, nu) are the Frobenius
+    coordinates of the framed partition.
+    """
+    label = striped_label(bipartition_as_striped(mu, nu))
+    return label.lam, label.nu[0]
+
+
+def label_to_bipartition(eta: Partition, zeta: Partition) -> tuple[Partition, Partition]:
+    """Inverse of :func:`bipartition_to_label`: the ell = 1 striped preimage
+    of the label, read back through :func:`bipartition_as_striped` (markings
+    mu, boxes right of the marks nu), certified by the forward map."""
+    s = striped_from_label(OrbitLabel(eta, Multipartition((zeta,))))
+    mu, nu = Partition(s.nu), Partition(s.mu)
+    if bipartition_to_label(mu, nu) != (eta, zeta):
+        raise AssertionError(f"({mu};{nu}) does not translate back to ({eta};{zeta})")
+    return mu, nu
+
+
+# ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
@@ -394,11 +353,3 @@ def enumerate_striped(
             assign(0, ())
     out.sort(key=lambda s: (s.lam.parts, s.epsilon, s.nu))
     return out
-
-
-def bipartition_as_striped(mu: Partition, nu: Partition) -> StripedBipartition:
-    """Encode a one-vertex bipartition as a striped bipartition: rows of
-    lam = mu + nu, all colours 0, markings mu."""
-    k = max(len(mu), len(nu))
-    lam = Partition(mu[i] + nu[i] for i in range(k))
-    return StripedBipartition(1, lam, (0,) * k, tuple(mu[i] for i in range(k)))

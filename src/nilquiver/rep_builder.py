@@ -34,6 +34,13 @@ from .partitions import Partition, json_int
 from .residues import DimensionVector, OrbitLabel, dim_framed
 
 
+def _json_list(data, what: str) -> list:
+    """A JSON array; any other value, a string included, raises ValueError."""
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a list, not {data!r}")
+    return data
+
+
 @dataclass(frozen=True, slots=True)
 class QuiverRep:
     """An exact representation of the framed cyclic quiver.
@@ -124,14 +131,18 @@ class QuiverRep:
                 raise ValueError(f"ell is {ell} but the dimension vector has {dims.ell} vertices")
             main = dims.main
             maps = []
-            for i, rows in enumerate(data["maps"]):
+            for i, rows in enumerate(_json_list(data["maps"], "maps")):
                 nrows = main[(i + 1) % ell]
                 ncols = main[i]
-                m = RationalMatrix(tuple(tuple(as_fraction(x) for x in row) for row in rows), ncols)
+                entries = tuple(
+                    tuple(as_fraction(x) for x in _json_list(row, f"maps[{i}][{r}]"))
+                    for r, row in enumerate(_json_list(rows, f"maps[{i}]"))
+                )
+                m = RationalMatrix(entries, ncols)
                 if m.nrows != nrows:
                     raise ValueError(f"arrow {i} has {m.nrows} rows, expected {nrows}")
                 maps.append(m)
-            framing = tuple(as_fraction(x) for x in data["framing_vector"])
+            framing = tuple(as_fraction(x) for x in _json_list(data["framing_vector"], "framing_vector"))
         except KeyError as exc:
             raise ValueError(f"representation JSON lacks the key {exc}") from exc
         except (TypeError, IndexError) as exc:

@@ -10,6 +10,8 @@ from nilquiver import (
     column_residue,
     diagram_from_json,
     diagram_of_coloured_partition,
+    diagrams_of_label,
+    enumerate_orbit_labels,
     enumerate_partitions,
     from_dot,
     frobenius_diagram_of_partition,
@@ -172,10 +174,32 @@ def test_json_roundtrip():
     assert diagram_from_json(d.to_json()) == d
     c = CircleDiagram(3, ((0, 2), (2, 5)))
     assert diagram_from_json(c.to_json()) == c
+    # the "marked" flag keeps the empty marked diagram marked
+    for ell in (1, 2, 3):
+        for empty in (FrobeniusCircleDiagram(ell, ()), CircleDiagram(ell, ())):
+            back = diagram_from_json(empty.to_json())
+            assert back == empty and type(back) is type(empty)
+    # JSON without the flag parses as the circles' marks say
+    assert diagram_from_json({k: v for k, v in d.to_json().items() if k != "marked"}) == d
+    assert diagram_from_json({"ell": 2, "circles": []}) == CircleDiagram(2, ())
     bad = d.to_json()
     bad["circles"][0]["start"] = (bad["circles"][0]["start"] + 1) % 3
     with pytest.raises(ValueError):
         diagram_from_json(bad)
+    # a flag that is not a bool, or that contradicts the circles, is refused
+    for bad in ({**d.to_json(), "marked": flag} for flag in (False, "yes", 1)):
+        with pytest.raises(ValueError):
+            diagram_from_json(bad)
+    with pytest.raises(ValueError):
+        diagram_from_json({**c.to_json(), "marked": True})
+
+
+@pytest.mark.parametrize("ell, n", [(2, 3), (3, 2)])
+def test_json_roundtrip_of_every_diagram_of_a_cone(ell, n):
+    for label in enumerate_orbit_labels(n, ell):
+        for d in diagrams_of_label(label):
+            back = diagram_from_json(d.to_json())
+            assert back == d and type(back) is type(d)
 
 
 def test_dot_roundtrip():

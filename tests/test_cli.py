@@ -225,6 +225,9 @@ def test_translate_rejects_non_integer_json(source, payload, field):
         ({"ell": 0}, "ell"),
         ({"ell": 2}, "ell"),
         ({"framing_vector": [True]}, "True"),
+        ({"framing_vector": "1"}, "framing_vector"),
+        ({"maps": [["0"]]}, "maps"),
+        ({"maps": ["0"]}, "maps"),
     ],
 )
 def test_decompose_rejects_non_integer_json(change, field):

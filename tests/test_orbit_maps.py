@@ -3,6 +3,8 @@ import json
 
 import pytest
 from enumeration_oracle import fill_with_chains
+from removal_oracle import bipartition_to_label as greedy_label
+from removal_oracle import removable_rows
 
 from nilquiver import (
     CircleDiagram,
@@ -11,7 +13,6 @@ from nilquiver import (
     OrbitLabel,
     Partition,
     StripedBipartition,
-    bipartition_as_striped,
     bipartition_to_label,
     column_residue,
     delta,
@@ -23,7 +24,6 @@ from nilquiver import (
     frobenius_diagram_of_partition,
     label_of_diagrams,
     label_to_bipartition,
-    removable_rows,
     removable_rows_cyclic,
     signature,
     striped_from_label,
@@ -142,13 +142,10 @@ def test_removable_rows_cyclic_trivial_cases():
 
 
 def test_cyclic_shadow_of_one_vertex_translation():
-    # encoding a bipartition as a striped object gives the same final label
-    for n in range(6):
+    # the ell = 1 striped translation agrees with the greedy one-vertex rule
+    for n in range(13):
         for bp in enumerate_bipartitions(n):
-            eta, zeta = bipartition_to_label(bp.first, bp.second)
-            s = bipartition_as_striped(bp.first, bp.second)
-            label = striped_label(s)
-            assert label == OrbitLabel(eta, Multipartition((zeta,)))
+            assert bipartition_to_label(bp.first, bp.second) == greedy_label(bp.first, bp.second)
 
 
 def test_striped_to_diagrams_big_example():
