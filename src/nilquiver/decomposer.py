@@ -34,7 +34,8 @@ hooks come back from the pairing of F and G by rank (``_label_of_chains``).
 
 Linear algebra runs only on the input and takes no nullspace.  From each
 start vertex i the composites P(i, L) of L arrows are formed once each, as
-the next arrow applied to the previous composite's columns, and one
+the next arrow applied to a basis of the previous composite's image (its
+pivot columns, so only r(i, L) columns are carried on), and one
 fraction-free elimination of [P(i, L) | K_{i+L}] per path step
 (``_rank_tables``; K_j the span of the Krylov vectors x^k v at vertex j)
 gives both rank tables: the pivots among P's columns give the path rank
@@ -190,14 +191,16 @@ def _rank_tables(rep: QuiverRep, spans: list[list[tuple]]) -> tuple[list[list[in
     path step, as one list per start vertex i (zero past its end).
 
     K_j = ``spans[j]`` holds independent vectors at vertex j spanning an
-    x-stable subspace.  The composite P(i, L) of L arrows is kept as its
-    columns: the first arrow's own, then each next arrow applied to them.
-    One elimination of [P(i, L) | K_{i+L}], P's columns first, gives both
-    ranks: the pivots among P's columns count r(i, L), and all pivots less
-    dim K_{i+L} count r'(i, L), the rank of the induced map
-    M_i/K_i -> M_{i+L}/K_{i+L}.  A row ends at its first zero composite; a
-    nonzero composite of ``dims.total`` arrows means the cycle is not
-    nilpotent (ValueError).
+    x-stable subspace.  The composite P(i, L) of L arrows is kept as
+    columns spanning its image: the first arrow's own, then the next arrow
+    applied to a basis of the previous composite's image.  One elimination
+    of [P(i, L) | K_{i+L}], P's columns first, gives both ranks: the pivots
+    among P's columns count r(i, L), and all pivots less dim K_{i+L} count
+    r'(i, L), the rank of the induced map M_i/K_i -> M_{i+L}/K_{i+L}.  The
+    pivot columns among P's are that basis, so only r(i, L) columns go on
+    to the next step and the eliminations shrink as the ranks fall.  A row
+    ends at its first zero composite; a nonzero composite of
+    ``dims.total`` arrows means the cycle is not nilpotent (ValueError).
     """
     ell, main, total = rep.ell, rep.dims.main, rep.dims.total
     plain: list[list[int]] = []
@@ -219,7 +222,7 @@ def _rank_tables(rep: QuiverRep, spans: list[list[tuple]]) -> tuple[list[list[in
                 )
             plain_row.append(rank)
             quotient_row.append(len(pivots) - len(span))
-            columns = [rep.maps[end].apply(c) for c in columns]
+            columns = [rep.maps[end].apply(columns[p]) for p in pivots[:rank]]
         plain.append(plain_row)
         quotient.append(quotient_row)
     return plain, quotient

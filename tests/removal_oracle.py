@@ -40,8 +40,6 @@ def removable_rows(mu: Partition, nu: Partition) -> frozenset[int]:
     """
     k = max(len(mu), len(nu))
     rows = list(zip((mu[i] for i in range(k)), (nu[i] for i in range(k))))
-    if any(a + b < c + d for (a, b), (c, d) in zip(rows, rows[1:])):
-        raise ValueError("mu + nu is not a partition")
     original = list(range(1, k + 1))
     removed: set[int] = set()
     while True:

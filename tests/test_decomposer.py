@@ -433,6 +433,53 @@ def test_rank_tables_match_the_two_elimination_route(ell, n):
         assert_rank_tables_match_the_oracle(random_base_change(rep, rng))
 
 
+def test_rank_tables_carry_only_an_image_basis(monkeypatch):
+    # the next arrow is applied to r(i, L) basis columns of P(i, L), not to
+    # all of its columns: on label representatives and disguised inputs of
+    # the cyclic-shared cones, one product per unit of path rank
+    calls = [0]
+    apply = RationalMatrix.apply
+
+    def counted(self, vec):
+        calls[0] += 1
+        return apply(self, vec)
+
+    monkeypatch.setattr(RationalMatrix, "apply", counted)
+    rng = random.Random(13)
+    for ell, n in [(2, 4), (2, 5), (3, 3), (4, 2), (4, 3)]:
+        labels = enumerate_orbit_labels(n, ell)
+        for label in labels[:: max(1, len(labels) // 6)]:
+            plain_rep = build_label_rep(label)
+            for rep in (plain_rep, random_base_change(plain_rep, rng)):
+                spans = _krylov_spans(rep)
+                calls[0] = 0
+                plain, _ = _rank_tables(rep, spans)
+                assert calls[0] == sum(sum(row[1:]) for row in plain), label
+
+
+def test_non_nilpotent_cycle_is_reported_after_the_basis_shrinks(tmp_path, capsys):
+    # ell = 3: a chain e0 -> e1 -> e2 -> 0 framed at e0 beside the invertible
+    # cycle f0 -> f1 -> f2 -> f0; the chain's column leaves the basis at
+    # length 3, the cycle's survives all 6 arrows
+    import json
+
+    from nilquiver.cli import main
+
+    maps = (
+        RationalMatrix(((1, 0), (0, 2)), 2),
+        RationalMatrix(((1, 0), (0, Fraction(1, 3))), 2),
+        RationalMatrix(((0, 0), (0, 5)), 2),
+    )
+    rep = QuiverRep(3, DimensionVector(1, (2, 2, 2)), maps, (Fraction(1), Fraction(0)))
+    message = "composite of 6 arrows from vertex 0 has rank 1"
+    with pytest.raises(ValueError, match=message):
+        decompose_enhanced(rep)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep.to_json()))
+    assert main(["decompose", "--input", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_one_vertex_multiplicities_agree_with_jordan_type():
     # two independent rank recipes: telescoping path ranks vs power ranks
     rng = random.Random(13)

@@ -13,6 +13,7 @@ from nilquiver import (
     OrbitLabel,
     Partition,
     StripedBipartition,
+    bipartition_as_striped,
     bipartition_to_label,
     column_residue,
     delta,
@@ -65,9 +66,9 @@ def test_removable_rows_examples():
     assert removable_rows(P([]), P([3])) == frozenset({1})
 
 
-def test_removable_rows_rejects_non_partition_sum():
-    with pytest.raises(ValueError):
-        removable_rows(P([1, 1]), P([0, 3]))
+def test_partition_rejects_increasing_parts():
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        P([0, 3])
 
 
 def test_translation_table_n3():
@@ -103,6 +104,15 @@ def test_inverse_translation():
         for bp in enumerate_bipartitions(n):
             eta, zeta = bipartition_to_label(bp.first, bp.second)
             assert label_to_bipartition(eta, zeta) == (bp.first, bp.second)
+
+
+def test_inverse_translation_rebuilds_the_certified_rows():
+    # label_to_bipartition returns the rows that striped_from_label has
+    # certified, so it needs no second certificate of its own
+    for n in range(11):
+        for label in enumerate_orbit_labels(n, 1):
+            pair = label_to_bipartition(label.lam, label.nu[0])
+            assert bipartition_as_striped(*pair) == striped_from_label(label)
 
 
 def test_striped_validation():
