@@ -1,10 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Everything in this module is exact: entries are Python ints or
-:class:`fractions.Fraction` values, ranks come from fraction-free (Bareiss)
-elimination after clearing denominators row by row, and kernels from exact
-Gauss-Jordan reduction.  There are no tolerances anywhere in the package;
-orbit invariants are discrete rank data and must stay that way.
+Everything in this module is exact: entries are :class:`fractions.Fraction`
+values, and ranks, products and inverses run in integer arithmetic after
+clearing denominators row by row.  Ranks come from fraction-free (Bareiss)
+elimination, inverses from its Gauss-Jordan form (Bareiss, Math. Comp. 22,
+1968), and products sum integer multiples of the cleared rows, skipping
+zero terms; each result entry is divided back into a ``Fraction`` once.
+Kernels come from exact ``Fraction`` Gauss-Jordan reduction.  There are no
+tolerances anywhere in the package; orbit invariants are discrete rank data
+and must stay that way.
 """
 
 from __future__ import annotations
@@ -31,6 +35,13 @@ def fraction_str(x: Fraction) -> str:
     """Canonical text form: "p" for integers, "p/q" otherwise."""
     x = as_fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _cleared(row) -> tuple[list[int], int]:
+    """A row of Fractions as integer numerators over the lcm of its
+    denominators: ``row[j] == nums[j] / den``."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
 
 
 class RationalMatrix:
@@ -99,14 +110,22 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        ot = other.transpose()
-        return RationalMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in ot.rows)
-                for row in self.rows
-            ),
-            other.ncols,
-        )
+        # other = N / e with N integer: each row cleared, then brought to the
+        # common denominator e, keeping only its nonzero entries
+        cleared = [_cleared(row) for row in other.rows]
+        e = lcm(*(d for _, d in cleared))
+        terms = [[(j, x * (e // d)) for j, x in enumerate(nums) if x] for nums, d in cleared]
+        rows = []
+        for row in self.rows:
+            nums, d = _cleared(row)
+            acc = [0] * other.ncols
+            for c, row_terms in zip(nums, terms):
+                if c:
+                    for j, x in row_terms:
+                        acc[j] += c * x
+            den = d * e
+            rows.append(tuple(Fraction(x, den) for x in acc))
+        return RationalMatrix(rows, other.ncols)
 
     def apply(self, vec: tuple) -> tuple[Fraction, ...]:
         """Matrix times column vector."""
@@ -133,10 +152,7 @@ class RationalMatrix:
         so the pivots among the first k columns count their rank."""
         if self.nrows == 0 or self.ncols == 0:
             return []
-        m = []
-        for row in self.rows:
-            den = lcm(*(x.denominator for x in row)) if row else 1
-            m.append([int(x * den) for x in row])
+        m = [_cleared(row)[0] for row in self.rows]
         nrows, ncols = self.nrows, self.ncols
         pivots: list[int] = []
         r = 0
@@ -187,11 +203,29 @@ class RationalMatrix:
         n = self.nrows
         if n == 0:
             return RationalMatrix((), 0)
-        augmented = hstack(self, RationalMatrix.identity(n))
-        pivots, m = augmented.rref()
-        if pivots != list(range(n)):
-            raise ValueError("matrix is singular")
-        return RationalMatrix(tuple(tuple(row[n:]) for row in m), n)
+        # fraction-free Gauss-Jordan on [D g | I], D the diagonal of row
+        # denominators, divides exactly at every step and ends at
+        # [p I | p (D g)^-1], p the last pivot (det D g up to sign); then
+        # g^-1 = (D g)^-1 D
+        cleared = [_cleared(row) for row in self.rows]
+        m = [nums + [int(i == j) for j in range(n)] for i, (nums, _) in enumerate(cleared)]
+        prev = 1
+        for k in range(n):
+            pivot = next((i for i in range(k, n) if m[i][k]), None)
+            if pivot is None:
+                raise ValueError("matrix is singular")
+            m[k], m[pivot] = m[pivot], m[k]
+            mk = m[k]
+            lead = mk[k]
+            for i in range(n):
+                head = m[i][k]
+                if i != k and (head or lead != prev):
+                    m[i] = [(a * lead - head * b) // prev for a, b in zip(m[i], mk)]
+            prev = lead
+        dens = [d for _, d in cleared]
+        return RationalMatrix(
+            tuple(tuple(Fraction(x * d, prev) for x, d in zip(row[n:], dens)) for row in m), n
+        )
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:
         """A basis of the right kernel, one tuple per basis vector."""

@@ -130,8 +130,11 @@ class QuiverRep:
             if ell != dims.ell:
                 raise ValueError(f"ell is {ell} but the dimension vector has {dims.ell} vertices")
             main = dims.main
+            arrows = _json_list(data["maps"], "maps")
+            if len(arrows) != ell:
+                raise ValueError(f"maps holds {len(arrows)} matrices, expected one per arrow ({ell})")
             maps = []
-            for i, rows in enumerate(_json_list(data["maps"], "maps")):
+            for i, rows in enumerate(arrows):
                 nrows = main[(i + 1) % ell]
                 ncols = main[i]
                 entries = tuple(

@@ -85,6 +85,8 @@ class DimensionVector:
 
     @classmethod
     def from_json(cls, data: dict) -> "DimensionVector":
+        if not isinstance(data, dict):
+            raise ValueError(f"dims must be an object with framing and main, not {data!r}")
         return cls(json_int(data["framing"], "framing"), json_ints(data["main"], "main"))
 
 

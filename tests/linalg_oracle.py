@@ -1,0 +1,49 @@
+"""The ``Fraction`` product and inverse routes, kept as test oracles.
+
+``RationalMatrix.__matmul__`` and ``RationalMatrix.inverse`` run in integer
+arithmetic on rows cleared of their denominators.  This module keeps the
+routes they replaced: the dense product that sums every ``Fraction`` pair,
+zeros included, and the inverse read off the ``Fraction`` reduced row
+echelon form of [g | I].  ``conjugate`` is the base change of
+``rep_builder.conjugate`` built from these two.
+"""
+
+from __future__ import annotations
+
+from nilquiver.linalg import RationalMatrix, hstack
+from nilquiver.rep_builder import QuiverRep
+
+
+def dense_product(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """a @ b as a sum of Fraction products over every pair of entries."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch in product")
+    cols = b.transpose().rows
+    return RationalMatrix(
+        tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.rows),
+        b.ncols,
+    )
+
+
+def rref_inverse(g: RationalMatrix) -> RationalMatrix:
+    """g^-1 from the Fraction reduced row echelon form of [g | I]."""
+    if g.nrows != g.ncols:
+        raise ValueError("inverse of a non-square matrix")
+    n = g.nrows
+    if n == 0:
+        return RationalMatrix((), 0)
+    pivots, m = hstack(g, RationalMatrix.identity(n)).rref()
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return RationalMatrix(tuple(tuple(row[n:]) for row in m), n)
+
+
+def conjugate(rep: QuiverRep, transforms: list[RationalMatrix]) -> QuiverRep:
+    """g_{i+1} M_i g_i^-1 at every arrow and g_0 v, through the oracles."""
+    inverses = [rref_inverse(g) for g in transforms]
+    maps = tuple(
+        dense_product(dense_product(transforms[(i + 1) % rep.ell], rep.maps[i]), inverses[i])
+        for i in range(rep.ell)
+    )
+    fv = tuple(transforms[0].apply(rep.framing_vector)) if rep.framed else ()
+    return QuiverRep(rep.ell, rep.dims, maps, fv)

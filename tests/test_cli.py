@@ -26,11 +26,11 @@ from nilquiver.cli import main
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(args, stdin=None, timeout=None):
+def run_cli(args, stdin=None, timeout=None, module="nilquiver.cli"):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-m", "nilquiver.cli", *args],
+        [sys.executable, "-m", module, *args],
         input=stdin,
         capture_output=True,
         text=True,
@@ -228,6 +228,8 @@ def test_translate_rejects_non_integer_json(source, payload, field):
         ({"framing_vector": "1"}, "framing_vector"),
         ({"maps": [["0"]]}, "maps"),
         ({"maps": ["0"]}, "maps"),
+        ({"maps": [[["0"]], [["0"]]]}, "maps"),
+        ({"dims": [1, 2]}, "dims"),
     ],
 )
 def test_decompose_rejects_non_integer_json(change, field):
@@ -240,6 +242,15 @@ def test_decompose_rejects_non_integer_json(change, field):
     code, out, err = run_cli(["decompose", "--input", "-"], json.dumps({**rep, **change}))
     assert code == 2 and out == ""
     assert "error" in err and field in err and "Traceback" not in err
+
+
+def test_package_runs_as_a_module():
+    rep = build_framed(Partition([2, 1]), 1)
+    code, out, err = run_cli(
+        ["decompose", "--input", "-"], json.dumps(rep.to_json()), module="nilquiver"
+    )
+    assert code == 0, err
+    assert json.loads(out.splitlines()[0]) == {"lambda": [2, 1], "nu": [[]]}
 
 
 def test_render_partition(capsys):

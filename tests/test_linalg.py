@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from linalg_oracle import dense_product, rref_inverse
 
 from nilquiver.linalg import RationalMatrix, block_diag, from_columns, hstack, vstack
 
@@ -118,3 +119,91 @@ def test_zero_dimension_products():
     d = RationalMatrix((), 2)          # 0 x 2
     assert (c @ d).shape == (1, 2)
     assert (c @ d).is_zero()
+
+
+# denominators of several digits and of both signs; Fraction keeps the sign
+# in the numerator
+DENOMINATORS = (1, 1, 2, -3, 7, -12, 97, -1009, 65537)
+
+
+def random_rational_matrix(rng, nrows, ncols, density=0.6):
+    """Seeded rational entries; some rows are all zero, and about
+    1 - density of the other entries are zero."""
+    rows = []
+    for _ in range(nrows):
+        if rng.random() < 0.15:
+            rows.append((0,) * ncols)
+            continue
+        rows.append(tuple(
+            Fraction(rng.randint(-999, 999), rng.choice(DENOMINATORS))
+            if rng.random() < density else 0
+            for _ in range(ncols)
+        ))
+    return RationalMatrix(rows, ncols)
+
+
+def all_fractions(m):
+    return all(type(x) is Fraction for row in m.rows for x in row)
+
+
+def test_product_matches_the_dense_fraction_oracle():
+    rng = random.Random(41)
+    for _ in range(300):
+        r, k, c = (rng.randint(0, 5) for _ in range(3))
+        a = random_rational_matrix(rng, r, k, rng.choice((0.3, 0.7, 1.0)))
+        b = random_rational_matrix(rng, k, c, rng.choice((0.3, 0.7, 1.0)))
+        product = a @ b
+        assert product == dense_product(a, b)
+        assert product.shape == (r, c) and all_fractions(product)
+
+
+def test_product_edge_shapes():
+    one = RationalMatrix(((Fraction(-5, 12),),), 1)
+    assert (one @ one).rows == ((Fraction(25, 144),),)
+    rng = random.Random(42)
+    for r, k, c in ((0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0), (1, 1, 1)):
+        a = random_rational_matrix(rng, r, k, 1.0)
+        b = random_rational_matrix(rng, k, c, 1.0)
+        assert (a @ b) == dense_product(a, b)
+        assert (a @ b).shape == (r, c) and all_fractions(a @ b)
+        if k == 0:
+            assert (a @ b).is_zero()
+    with pytest.raises(ValueError):
+        RationalMatrix.zero(2, 3) @ RationalMatrix.zero(2, 3)
+
+
+def test_inverse_matches_the_rref_oracle():
+    rng = random.Random(43)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        g = random_rational_matrix(rng, n, n, rng.choice((0.5, 0.8, 1.0)))
+        try:
+            expected = rref_inverse(g)
+        except ValueError:
+            singular += 1
+            with pytest.raises(ValueError, match="matrix is singular"):
+                g.inverse()
+            continue
+        inv = g.inverse()
+        assert inv == expected and all_fractions(inv)
+        assert g @ inv == RationalMatrix.identity(n)
+    assert singular > 20  # zero rows and sparse draws make singular inputs
+
+
+def test_inverse_edge_cases():
+    assert RationalMatrix((), 0).inverse() == RationalMatrix((), 0)
+    g = RationalMatrix(((Fraction(7, -1009),),), 1)
+    assert g.inverse().rows == ((Fraction(-1009, 7),),)
+    # a zero first pivot needs a row swap; a dependent row is singular
+    swap = RationalMatrix(((0, Fraction(1, 3)), (Fraction(-2, 5), 1)), 2)
+    assert swap.inverse() == rref_inverse(swap) and all_fractions(swap.inverse())
+    for rows in (
+        ((0, 0), (0, 0)),
+        ((1, 2), (Fraction(1, 2), 1)),
+        ((Fraction(1, 3), 0, 1), (0, 1, 0), (Fraction(2, 3), 5, 2)),
+    ):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            RationalMatrix(rows, len(rows)).inverse()
+    with pytest.raises(ValueError, match="non-square"):
+        RationalMatrix.zero(2, 3).inverse()

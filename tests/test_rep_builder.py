@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import linalg_oracle
 
 from nilquiver import (
     Multipartition,
@@ -20,13 +21,14 @@ from nilquiver import (
     dim_framed,
     direct_sum,
     enumerate_bipartitions,
+    enumerate_orbit_labels,
     enumerate_partitions,
     isomorphic,
     random_base_change,
     zero_hits,
 )
 from nilquiver.linalg import RationalMatrix
-from nilquiver.rep_builder import label_chains
+from nilquiver.rep_builder import label_chains, random_invertible
 
 P = Partition
 
@@ -168,6 +170,18 @@ def test_conjugation_preserves_dims_and_rejects_bad_shapes():
     assert moved.dims == rep.dims
     with pytest.raises(ValueError):
         conjugate(rep, [RationalMatrix.identity(1)])
+
+
+@pytest.mark.parametrize("ell, n", [(1, 6), (2, 4), (3, 3), (4, 2)])
+def test_seeded_base_changes_match_the_fraction_oracle(ell, n):
+    # the benchmark disguises its inputs this way, so this pins them too
+    for seed, label in enumerate(enumerate_orbit_labels(n, ell)):
+        rep = build_label_rep(label)
+        moved = random_base_change(rep, random.Random(seed))
+        rng = random.Random(seed)
+        draws = [random_invertible(d, rng) for d in rep.dims.main]
+        expected = linalg_oracle.conjugate(rep, draws)
+        assert json.dumps(moved.to_json()) == json.dumps(expected.to_json()), label
 
 
 def test_quiver_rep_validation():
