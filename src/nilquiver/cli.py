@@ -362,13 +362,7 @@ def _cmd_selfcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nilquiver",
-        description="Orbit labels and exact decompositions for nilpotent framed cyclic quivers.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_enumerate(sub) -> None:
     p = sub.add_parser("enumerate-orbits", help="list the orbit labels of a cone")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
@@ -376,6 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep only labels whose partition weight is <= x")
     p.set_defaults(func=_cmd_enumerate)
 
+
+def _add_translate(sub) -> None:
     p = sub.add_parser("translate", help="translate between label formats")
     p.add_argument("--from", dest="source", choices=["ah", "johnson", "label"], required=True)
     p.add_argument("--to", dest="target", choices=["ah", "johnson", "label"], required=True)
@@ -383,10 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=None, help="cycle length for striped input")
     p.set_defaults(func=_cmd_translate)
 
+
+def _add_decompose(sub) -> None:
     p = sub.add_parser("decompose", help="decompose a representation JSON file")
     p.add_argument("--input", required=True, help="JSON file, or - for stdin")
     p.set_defaults(func=_cmd_decompose)
 
+
+def _add_render(sub) -> None:
     p = sub.add_parser("render", help="render partitions and circle diagrams")
     p.add_argument("--partition", default=None, help='bracket form, e.g. "[6,4,4,2]"')
     p.add_argument("--diagram", default=None, help="diagram JSON or DOT file, or - for stdin")
@@ -394,22 +394,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["ascii", "dot", "latex-ytableau"], default="ascii")
     p.set_defaults(func=_cmd_render)
 
+
+def _add_reptype(sub) -> None:
     p = sub.add_parser("reptype", help="representation type of the (ell, x) algebra")
     p.add_argument("ell", type=int)
     p.add_argument("x", type=int)
     p.set_defaults(func=_cmd_reptype)
 
+
+def _add_selfcheck(sub) -> None:
     p = sub.add_parser("selfcheck", help="run the invariant suites at desk scale")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.set_defaults(func=_cmd_selfcheck)
 
+
+#: Each command, in help order, with the function that adds its subparser.
+COMMANDS = {
+    "enumerate-orbits": _add_enumerate,
+    "translate": _add_translate,
+    "decompose": _add_decompose,
+    "render": _add_render,
+    "reptype": _add_reptype,
+    "selfcheck": _add_selfcheck,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with every command's subparser, or with only
+    ``command``'s.
+
+    The one-command parser names all commands in its usage line, so its
+    usage and error messages are the ones the full parser prints for an
+    argument list that begins with ``command``.
+    """
+    parser = argparse.ArgumentParser(
+        prog="nilquiver",
+        description="Orbit labels and exact decompositions for nilpotent framed cyclic quivers.",
+    )
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        COMMANDS[name](sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call builds only the subparser it runs; anything else (no
+    # arguments, help, an unknown command, an option first) gets them all
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -24,6 +24,18 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        # "p", "-p" and "p/q" in ASCII digits skip the Fraction(str) regex
+        num, slash, den = x.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit() and (
+            not slash or (den.isascii() and den.isdigit())
+        ):
+            if not slash:
+                return Fraction(int(num))
+            q = int(den)
+            if q == 0:
+                raise ValueError(f"zero denominator in {x!r}")
+            return Fraction(int(num), q)
         try:
             return Fraction(x)
         except ZeroDivisionError as exc:
@@ -71,6 +83,14 @@ class RationalMatrix:
             self.ncols = ncols
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _built(cls, rows: tuple, ncols: int) -> "RationalMatrix":
+        """A matrix of rows built here as tuples of ``ncols`` Fractions,
+        taken without coercing or checking them again."""
+        m = cls.__new__(cls)
+        m.rows, m.nrows, m.ncols = rows, len(rows), ncols
+        return m
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "RationalMatrix":
@@ -125,7 +145,7 @@ class RationalMatrix:
                         acc[j] += c * x
             den = d * e
             rows.append(tuple(Fraction(x, den) for x in acc))
-        return RationalMatrix(rows, other.ncols)
+        return RationalMatrix._built(tuple(rows), other.ncols)
 
     def apply(self, vec: tuple) -> tuple[Fraction, ...]:
         """Matrix times column vector."""
@@ -223,7 +243,7 @@ class RationalMatrix:
                     m[i] = [(a * lead - head * b) // prev for a, b in zip(m[i], mk)]
             prev = lead
         dens = [d for _, d in cleared]
-        return RationalMatrix(
+        return RationalMatrix._built(
             tuple(tuple(Fraction(x * d, prev) for x, d in zip(row[n:], dens)) for row in m), n
         )
 

@@ -296,7 +296,11 @@ def conjugate(rep: QuiverRep, transforms: list[RationalMatrix]) -> QuiverRep:
     """Apply an invertible base change g_i at every vertex."""
     if len(transforms) != rep.ell:
         raise ValueError("one transform per vertex is required")
-    inverses = [g.inverse() for g in transforms]
+    return _conjugate(rep, transforms, [g.inverse() for g in transforms])
+
+
+def _conjugate(rep: QuiverRep, transforms, inverses) -> QuiverRep:
+    """g_{i+1} M_i g_i^-1 at every arrow and g_0 v, given each g_i^-1."""
     maps = tuple(
         transforms[(i + 1) % rep.ell] @ rep.maps[i] @ inverses[i] for i in range(rep.ell)
     )
@@ -304,16 +308,26 @@ def conjugate(rep: QuiverRep, transforms: list[RationalMatrix]) -> QuiverRep:
     return QuiverRep(rep.ell, rep.dims, maps, fv)
 
 
-def random_invertible(n: int, rng) -> RationalMatrix:
-    """A random invertible integer matrix with small entries."""
+def _invertible_draw(n: int, rng) -> tuple[RationalMatrix, RationalMatrix]:
+    """A random invertible integer matrix with small entries, and its
+    inverse: one elimination both inverts a draw and rejects a singular one."""
     if n == 0:
-        return RationalMatrix.zero(0, 0)
+        empty = RationalMatrix.zero(0, 0)
+        return empty, empty
     while True:
         rows = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
         m = RationalMatrix(rows, n)
-        if m.rank() == n:
-            return m
+        try:
+            return m, m.inverse()
+        except ValueError:  # singular: draw again
+            pass
+
+
+def random_invertible(n: int, rng) -> RationalMatrix:
+    """A random invertible integer matrix with small entries."""
+    return _invertible_draw(n, rng)[0]
 
 
 def random_base_change(rep: QuiverRep, rng) -> QuiverRep:
-    return conjugate(rep, [random_invertible(d, rng) for d in rep.dims.main])
+    transforms, inverses = zip(*(_invertible_draw(d, rng) for d in rep.dims.main))
+    return _conjugate(rep, transforms, inverses)

@@ -5,7 +5,9 @@ arithmetic on rows cleared of their denominators.  This module keeps the
 routes they replaced: the dense product that sums every ``Fraction`` pair,
 zeros included, and the inverse read off the ``Fraction`` reduced row
 echelon form of [g | I].  ``conjugate`` is the base change of
-``rep_builder.conjugate`` built from these two.
+``rep_builder.conjugate`` built from these two, and ``rank_tested_invertible``
+draws as ``rep_builder.random_invertible`` did before each draw was tested
+by its inverse: a singular draw is found by its rank.
 """
 
 from __future__ import annotations
@@ -47,3 +49,14 @@ def conjugate(rep: QuiverRep, transforms: list[RationalMatrix]) -> QuiverRep:
     )
     fv = tuple(transforms[0].apply(rep.framing_vector)) if rep.framed else ()
     return QuiverRep(rep.ell, rep.dims, maps, fv)
+
+
+def rank_tested_invertible(n: int, rng) -> RationalMatrix:
+    """A random invertible matrix with entries in [-2, 2], redrawn while its
+    rank is below n."""
+    if n == 0:
+        return RationalMatrix.zero(0, 0)
+    while True:
+        m = RationalMatrix(tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)), n)
+        if m.rank() == n:
+            return m

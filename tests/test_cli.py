@@ -399,3 +399,102 @@ def test_bad_flags_exit_2():
     assert code == 2
     code, _, _ = run_cli(["enumerate-orbits", "--n", "1"])
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# parser built per call
+# ---------------------------------------------------------------------------
+
+
+def cli_outcome(capsys, argv):
+    """(stdout, stderr, exit code) of main(argv), argparse exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+def parser_corpus(tmp_path):
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps(build_framed(Partition([2, 1]), 1).to_json()))
+    ah = tmp_path / "ah.json"
+    ah.write_text(json.dumps({"mu": [2, 1], "nu": [1]}))
+    rep, ah = str(rep), str(ah)
+    return [
+        [],
+        ["-h"],
+        ["--help"],
+        ["frobnicate"],
+        ["--n", "3", "enumerate-orbits", "--ell", "1"],
+        ["-h", "translate"],
+        *([command, "-h"] for command in cli.COMMANDS),
+        ["enumerate-orbits", "--n", "3"],
+        ["translate", "--from", "ah", "--input", ah],
+        ["decompose"],
+        ["render", "--ell"],
+        ["reptype", "2"],
+        ["selfcheck", "--ell", "1"],
+        ["translate", "--from", "xml", "--to", "label", "--input", ah],
+        ["render", "--partition", "[2]", "--format", "png"],
+        ["enumerate-orbits", "--n", "three", "--ell", "1"],
+        ["selfcheck", "--n", "1", "--ell", "1.5"],
+        ["reptype", "2", "2", "3"],
+        ["decompose", "--input", rep, "--bogus"],
+        ["decompose", "--input", rep, "translate"],
+        ["decompose", "--inp", rep],
+        ["translate", "--fr", "ah", "--to", "johnson", "--inp", ah, "--el", "1"],
+        ["enumerate-orbits", "--n", "2", "--ell", "2"],
+        ["translate", "--from", "ah", "--to", "label", "--input", ah],
+        ["decompose", "--input", rep],
+        ["render", "--partition", "[3,1]", "--ell", "2"],
+        ["reptype", "3", "2"],
+        ["selfcheck", "--n", "1", "--ell", "1"],
+    ]
+
+
+def test_main_matches_the_all_commands_parser(tmp_path, monkeypatch, capsys):
+    corpus = parser_corpus(tmp_path)
+    got = [cli_outcome(capsys, argv) for argv in corpus]
+    # the oracle: every call parsed by the parser that carries all six commands
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    expected = [cli_outcome(capsys, argv) for argv in corpus]
+    for argv, a, b in zip(corpus, got, expected):
+        assert a == b, argv
+    codes = {code for _, _, code in got}
+    assert codes == {0, 2}
+
+
+def test_main_builds_only_the_invoked_command(monkeypatch, capsys):
+    built = []
+    table = {
+        name: (lambda sub, name=name, add=add: (built.append(name), add(sub)))
+        for name, add in cli.COMMANDS.items()
+    }
+    monkeypatch.setattr(cli, "COMMANDS", table)
+    assert main(["reptype", "2", "2"]) == 0
+    assert built == ["reptype"]
+    built.clear()
+    for argv in (["-h"], ["frobnicate"], []):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert built == list(table), argv
+        built.clear()
+    capsys.readouterr()
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["nilquiver", "reptype", "2", "2"])
+    assert main() == 0
+    assert capsys.readouterr().out == "(ell, x) = (2, 2): tame\n"
+
+
+def test_module_help_lists_every_command():
+    code, out, err = run_cli(["--help"], module="nilquiver")
+    assert code == 0 and err == ""
+    usage = "{" + ",".join(cli.COMMANDS) + "}"
+    assert usage in out
+    for command in cli.COMMANDS:
+        assert f"    {command}" in out, command

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 from linalg_oracle import dense_product, rref_inverse
 
-from nilquiver.linalg import RationalMatrix, block_diag, from_columns, hstack, vstack
+from nilquiver.linalg import (
+    RationalMatrix,
+    as_fraction,
+    block_diag,
+    from_columns,
+    hstack,
+    vstack,
+)
 
 
 def fraction_gauss_rank(rows, ncols):
@@ -207,3 +214,59 @@ def test_inverse_edge_cases():
             RationalMatrix(rows, len(rows)).inverse()
     with pytest.raises(ValueError, match="non-square"):
         RationalMatrix.zero(2, 3).inverse()
+
+
+def test_public_constructor_still_coerces_and_validates():
+    # products and inverses skip the coercion; the constructor keeps it
+    m = RationalMatrix(((1, "-2/4"), (Fraction(3, 9), "7")), 2)
+    assert m.rows == ((1, Fraction(-1, 2)), (Fraction(1, 3), 7)) and all_fractions(m)
+    for rows, message in (
+        (((1, 2), (3,)), "ragged"),
+        (((1.5,),), "not an exact rational"),
+        (((True,),), "not an exact rational"),
+        ((("1/0",),), "zero denominator"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            RationalMatrix(rows)
+    with pytest.raises(ValueError, match="disagrees"):
+        RationalMatrix(((1, 2),), 3)
+
+
+def fraction_or_error(text):
+    """Fraction(text), or ValueError when it refuses the text (a zero
+    denominator, which it reports as ZeroDivisionError, included)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return ValueError
+
+
+def as_fraction_or_error(text):
+    try:
+        value = as_fraction(text)
+    except ValueError:
+        return ValueError
+    assert type(value) is Fraction
+    return value
+
+
+STRING_CORPUS = [
+    "0", "-0", "+0", "7", "-7", "+7", "007", "-007", "3/4", "-3/4", "+3/4", "6/8", "-0/5",
+    "0/1", "05/010", "1/0", "1/00", "-1/0", "0/0", "1/-2", "1/+2", "-1/-2", "--1", "-", "",
+    "/", "1/", "/2", " 1", "1 ", " 1/2 ", "1 / 2", "\t-3\n", "1_000", "1_000/3", "1__0", "_1",
+    "1.5", "-.5", "1.", ".", "1e3", "1E-2", "2/3e1", "1/2/3", "0x10", "inf", "nan", "1j",
+    "\u0663", "1\u0663/2", "\u00b2", "\uff11", "\u22121", "1/\u0662",
+    str(3**189), "-" + str(2**300 - 1), f"{2**300 + 1}/{3**190}", f"-{2**299}/{2**300}",
+]
+
+
+def test_as_fraction_agrees_with_fraction_on_strings():
+    # the integer fast path and Fraction(str) accept and reject the same
+    # strings and give the same values; a zero denominator is a ValueError
+    for text in STRING_CORPUS:
+        assert as_fraction_or_error(text) == fraction_or_error(text), repr(text)
+    rng = random.Random(44)
+    alphabet = "0123456789" * 3 + "-+/_ .eE\u0663"
+    for _ in range(5000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
+        assert as_fraction_or_error(text) == fraction_or_error(text), repr(text)

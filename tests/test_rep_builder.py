@@ -184,6 +184,47 @@ def test_seeded_base_changes_match_the_fraction_oracle(ell, n):
         assert json.dumps(moved.to_json()) == json.dumps(expected.to_json()), label
 
 
+@pytest.mark.parametrize("ell, n", [(1, 5), (2, 3), (3, 2)])
+def test_base_change_draws_match_the_rank_tested_route(ell, n):
+    # random_base_change tests and inverts each draw with one elimination;
+    # the old route drew with random_invertible and inverted in conjugate
+    for seed, label in enumerate(enumerate_orbit_labels(n, ell)):
+        rep = build_label_rep(label)
+        rng = random.Random(seed)
+        moved = random_base_change(rep, rng)
+        old_rng = random.Random(seed)
+        draws = [random_invertible(d, old_rng) for d in rep.dims.main]
+        expected = linalg_oracle.conjugate(rep, draws)
+        assert moved == expected, label
+        assert rng.getstate() == old_rng.getstate(), label
+        # a second change from the same generator stays in step as well
+        assert random_base_change(rep, rng) == linalg_oracle.conjugate(
+            rep, [random_invertible(d, old_rng) for d in rep.dims.main]
+        ), label
+
+
+class CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def randint(self, a, b):
+        self.draws += 1
+        return super().randint(a, b)
+
+
+def test_random_invertible_draws_as_the_rank_tested_route():
+    # the same matrices and the same generator state as redrawing by rank
+    rng, old_rng = random.Random(3), CountingRandom(3)
+    for n in (0, 1, 2, 3, 4) * 40:
+        g = random_invertible(n, rng)
+        assert g == linalg_oracle.rank_tested_invertible(n, old_rng)
+        assert rng.getstate() == old_rng.getstate()
+        assert g.inverse() @ g == RationalMatrix.identity(n)
+    # singular draws were made and redrawn
+    assert old_rng.draws > 40 * (1 + 4 + 9 + 16)
+
+
 def test_quiver_rep_validation():
     with pytest.raises(ValueError):
         QuiverRep(2, dim_framed(P([1]), 2), (RationalMatrix.zero(1, 1),), (1,))
