@@ -164,19 +164,25 @@ class FrobeniusCircleDiagram(_Diagram):
 
 
 def _diagram_of_chains(
-    ell: int, chains: list[tuple[int, int, int | None]]
+    ell: int, chains: list[tuple[int, int, int | None]], marked: bool | None = None
 ) -> "CircleDiagram | FrobeniusCircleDiagram":
     """The diagram whose chains (start, length, mark) are the given ones:
-    marked when every chain carries a mark, unmarked when none does.
-    Anything else, a marked start other than -mark mod ell included,
-    raises ValueError."""
+    marked when every chain carries a mark, unmarked when none does.  A
+    ``marked`` record says which kind is meant, which only matters for the
+    empty diagram.  Mixed marks, a record the circles contradict, and a
+    marked start other than -mark mod ell raise ValueError."""
+    if marked and not chains:
+        return FrobeniusCircleDiagram(ell, ())
     if all(mark is None for _, _, mark in chains):
-        return CircleDiagram(ell, tuple((s, p) for s, p, _ in chains))
-    if any(mark is None for _, _, mark in chains):
+        diagram = CircleDiagram(ell, tuple((s, p) for s, p, _ in chains))
+    elif any(mark is None for _, _, mark in chains):
         raise ValueError("either all circles carry a mark or none does")
-    diagram = FrobeniusCircleDiagram(ell, tuple((p, mark) for _, p, mark in chains))
-    if sorted(diagram.chains()) != sorted(chains):
-        raise ValueError("marked circle start must be -mark mod ell")
+    else:
+        diagram = FrobeniusCircleDiagram(ell, tuple((p, mark) for _, p, mark in chains))
+        if sorted(diagram.chains()) != sorted(chains):
+            raise ValueError("marked circle start must be -mark mod ell")
+    if marked is not None and marked != isinstance(diagram, FrobeniusCircleDiagram):
+        raise ValueError(f"marked={marked} contradicts the circles' marks")
     return diagram
 
 
@@ -207,12 +213,7 @@ def diagram_from_json(data: dict) -> "CircleDiagram | FrobeniusCircleDiagram":
         raise ValueError(f"diagram JSON lacks the key {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed diagram JSON: {exc}") from exc
-    if marked and not chains:
-        return FrobeniusCircleDiagram(ell, ())
-    diagram = _diagram_of_chains(ell, chains)
-    if marked is not None and marked != isinstance(diagram, FrobeniusCircleDiagram):
-        raise ValueError(f"marked={marked} contradicts the circles' marks")
-    return diagram
+    return _diagram_of_chains(ell, chains, marked)
 
 
 def diagram_of_coloured_partition(lam: Partition, colours, ell: int) -> CircleDiagram:
@@ -285,7 +286,9 @@ def bounded_circle_diagrams(
 
 def to_dot(diagram: "CircleDiagram | FrobeniusCircleDiagram") -> str:
     """Graphviz DOT form: one node per vertex, blocks as clusters, arrows
-    along the circles, marked vertices drawn as boxes."""
+    along the circles, marked vertices drawn as boxes.  A marked diagram
+    also carries the graph comment ``"marked"``, so that the empty marked
+    diagram reads back as marked."""
     ell = diagram.ell
     nodes: list[tuple[str, int, bool]] = []
     edges: list[tuple[str, str]] = []
@@ -300,6 +303,8 @@ def to_dot(diagram: "CircleDiagram | FrobeniusCircleDiagram") -> str:
             prev = name
 
     lines = ["digraph circles {", "  rankdir=LR;"]
+    if isinstance(diagram, FrobeniusCircleDiagram):
+        lines.append('  comment="marked";')
     for block in range(ell):
         lines.append(f"  subgraph cluster_{block} {{")
         lines.append(f'    label="block {block}";')
@@ -318,7 +323,10 @@ def from_dot(text: str) -> "CircleDiagram | FrobeniusCircleDiagram":
     """Rebuild a diagram from the DOT text emitted by :func:`to_dot`.
 
     ell is read from the block clusters, so DOT text with clusters but no
-    nodes is the empty diagram of that ell.  Every arrow must join declared
+    nodes is the empty diagram of that ell; a graph comment ``"marked"`` or
+    ``"unmarked"`` says which kind is meant, as the ``"marked"`` flag of
+    :func:`diagram_from_json` does, and circles that contradict it raise
+    ValueError.  Every arrow must join declared
     nodes, no node may have two arrows out or in or lie on a cycle, and
     each arrow must step to the next block; anything else raises
     ValueError.
@@ -326,7 +334,9 @@ def from_dot(text: str) -> "CircleDiagram | FrobeniusCircleDiagram":
     cluster_re = re.compile(r"^\s*subgraph cluster_(\d+) \{\s*$")
     node_re = re.compile(r"^\s*(c\d+_\d+) \[shape=(box|circle), label=\"(\d+)\"\];\s*$")
     edge_re = re.compile(r"^\s*(c\d+_\d+) -> (c\d+_\d+);\s*$")
+    comment_re = re.compile(r'^\s*comment="(marked|unmarked)";\s*$')
     ell = 0
+    record: bool | None = None
     blocks: dict[str, int] = {}
     marked: set[str] = set()
     succ: dict[str, str] = {}
@@ -343,6 +353,10 @@ def from_dot(text: str) -> "CircleDiagram | FrobeniusCircleDiagram":
             if a in succ or b in pred:
                 raise ValueError(f"{a if a in succ else b} has two arrows out or in")
             succ[a], pred[b] = b, a
+        elif m := comment_re.match(line):
+            if record is not None:
+                raise ValueError("the DOT text says twice whether it is marked")
+            record = m.group(1) == "marked"
     if not ell:
         raise ValueError("no block clusters found in DOT text")
     for name in sorted(succ.keys() | pred.keys() | blocks.keys()):
@@ -363,7 +377,7 @@ def from_dot(text: str) -> "CircleDiagram | FrobeniusCircleDiagram":
         chains.append((blocks[name], len(chain), offsets[0] if offsets else None))
     if sum(length for _, length, _ in chains) != len(blocks):
         raise ValueError("DOT arrows form a cycle")
-    return _diagram_of_chains(ell, chains)
+    return _diagram_of_chains(ell, chains, record)
 
 
 def to_ascii(diagram: "CircleDiagram | FrobeniusCircleDiagram") -> str:

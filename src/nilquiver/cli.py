@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import operator
 import sys
 
 from .circle_diagrams import (
@@ -77,9 +78,13 @@ def _cmd_enumerate(args) -> int:
     if args.x is not None:
         labels = [lbl for lbl in labels if lbl.lam.weight(ell) <= args.x]
     target = delta(ell, args.n).main
-    # nu components are shared between labels, so each (vertex, component)
-    # is rendered and summed into a dimension vector once
-    components: dict[tuple[int, Partition], tuple[str, str, tuple[int, ...]]] = {}
+    ok = f"dims={DimensionVector(1, target)}  [ok]\n"
+    # every partition leaving the same deficit shares one list of nu, and
+    # the nu share their components, so the text, chains and chain vector of
+    # each component and of each nu are built once; the labels keep every
+    # nu alive, so its id() is a safe key
+    components: dict[tuple[int, tuple[int, ...]], tuple[str, str, tuple[int, ...]]] = {}
+    shared: dict[int, tuple[str, str, tuple[int, ...]]] = {}
     rows = []
     bad = 0
     # the labels come sorted by partition first, so each partition's text,
@@ -89,30 +94,33 @@ def _cmd_enumerate(args) -> int:
         marked = ",".join(f"(len={p},mark={o})" for p, o in frob.circles) or "-"
         cres = column_residue(lam, ell).main
         head = f"label=({lam};("
+        middle = f"))  marked=[{marked}]  plain=["
         for lbl in group:
-            main = cres
-            texts, plain = [], []
-            for key in enumerate(lbl.nu):
-                if key not in components:
-                    i, comp = key
-                    components[key] = (
-                        str(comp),
-                        ",".join(f"({i},{length})" for length in comp),
-                        runs_vector(((i, length) for length in comp), ell),
-                    )
-                text, chains, vector = components[key]
-                texts.append(text)
-                if chains:
-                    plain.append(chains)
-                main = tuple(a + b for a, b in zip(main, vector))
-            dv = DimensionVector(1, main)
-            check = "ok" if dv.main == target else "BAD"
-            if check == "BAD":
+            nu = lbl.nu
+            if id(nu) not in shared:
+                texts, plain, vector = [], [], (0,) * ell
+                for i, comp in enumerate(nu):
+                    key = (i, comp.parts)
+                    if key not in components:
+                        components[key] = (
+                            str(comp),
+                            ",".join(f"({i},{length})" for length in comp),
+                            runs_vector(((i, length) for length in comp), ell),
+                        )
+                    text, chains, summand = components[key]
+                    texts.append(text)
+                    if chains:
+                        plain.append(chains)
+                    vector = tuple(map(operator.add, vector, summand))
+                shared[id(nu)] = (",".join(texts), ",".join(plain) or "-", vector)
+            text, plain, vector = shared[id(nu)]
+            main = tuple(map(operator.add, cres, vector))
+            if main == target:
+                tail = ok
+            else:
                 bad += 1
-            rows.append(
-                f"{head}{','.join(texts)}))  marked=[{marked}]  plain=[{','.join(plain) or '-'}]  "
-                f"dims={dv}  [{check}]\n"
-            )
+                tail = f"dims={DimensionVector(1, main)}  [BAD]\n"
+            rows.append(f"{head}{text}{middle}{plain}]  {tail}")
     rows.append(f"total: {len(labels)}\n")
     sys.stdout.write("".join(rows))
     if bad:

@@ -30,7 +30,6 @@ from .partitions import (
     DEFAULT_ENUMERATION_CAP,
     Multipartition,
     Partition,
-    enumerate_partitions,
     json_int,
     json_ints,
 )
@@ -201,91 +200,140 @@ class OrbitLabel:
         return cls(lam, nu)
 
 
+def chain_fillable(remaining: tuple[int, ...], vertex: int) -> bool:
+    """Whether chains starting at the vertices vertex, ..., ell-1 (ell =
+    len(remaining)) fill the nonnegative vector remaining exactly.
+
+    They do exactly when remaining[q-1] >= remaining[q] for every q < vertex
+    (indices mod ell), and remaining is zero when vertex == ell.  Necessity:
+    no chain starts at such a q, so each chain vertex at q follows one at
+    q-1 on the same chain.  Sufficiency for vertex < ell: with R = remaining
+    the conditions read R[ell-1] >= R[0] >= ... >= R[vertex-1], so
+    R[j] - R[j+1] chains of length j+2 from vertex ell-1 for each
+    j < vertex (R[vertex-1] of them for the last j) cover every q < vertex
+    exactly R[q] times and the start vertex ell-1 R[0] <= R[ell-1] times;
+    chains of length 1 at the start vertices fill the rest.
+    """
+    if vertex == len(remaining):
+        return not any(remaining)
+    return all(remaining[q - 1] >= remaining[q] for q in range(vertex))
+
+
+def _admissible_partitions(n: int, ell: int):
+    """Yield (parts, n*delta - column_residue) for every partition whose
+    column residue is at most n at each vertex, parts lexicographically
+    decreasing (so a partition comes after all of its extensions).
+
+    Row i (1-based) of length p holds the negated contents i-1, ..., i-p.
+    Adding boxes only raises the residue, so a row that overflows some
+    vertex at length p overflows it at every greater length, and so does
+    every partition that extends it."""
+
+    def walk(parts: tuple[int, ...], deficit: tuple[int, ...], cap: int):
+        row = len(parts) + 1
+        # grow the next row box by box while it fits, then shrink it again
+        left = list(deficit)
+        longest = 0
+        while longest < cap and left[(row - 1 - longest) % ell]:
+            longest += 1
+            left[(row - longest) % ell] -= 1
+        for p in range(longest, 0, -1):
+            yield from walk(parts + (p,), tuple(left), p)
+            left[(row - p) % ell] += 1
+        yield parts, deficit
+
+    return walk((), (n,) * ell, n * ell)
+
+
 def enumerate_orbit_labels(
     n: int, ell: int, max_count: int = DEFAULT_ENUMERATION_CAP
 ) -> list[OrbitLabel]:
-    """All labels (lam; nu) whose total dimension vector is n at every vertex.
+    """All labels (lam; nu) whose total dimension vector is n at every vertex,
+    sorted by :meth:`OrbitLabel.sort_key`, largest first.
 
     The residue equation column_residue(lam) + shifted_residue(nu) = n*delta
-    bounds |lam| by n*ell, so the search is finite and complete.  For each
-    lam the deficit n*delta - column_residue(lam) is filled with chains,
-    vertex by vertex: a chain of length N at vertex v occupies
-    run_vector(v, N, ell), and component v of nu lists the lengths chosen
-    at v in weakly decreasing order.
+    bounds lam, so the search is finite and complete.  The admissible
+    partitions are walked in the output order, and each one's deficit
+    n*delta - column_residue(lam) is filled with chains vertex by vertex: a
+    chain of length N at vertex v occupies run_vector(v, N, ell), and
+    component v of nu lists the lengths chosen at v in weakly decreasing
+    order.  Each vertex's choices come largest lengths tuple first, so the
+    labels come out sorted, without a sort.
 
-    Many partitions leave the same deficit, and many vertex-0 choices leave
-    the same remainder, so the fills from vertex 1 onward (the tails) are
-    memoized per (remaining deficit, vertex) for the duration of the call.
-    The vertex-0 choices stay lazy: labels are emitted one vertex-0 choice
-    at a time, so the cap is checked as the output grows.
+    The search only ever enters a remainder it can complete.  A remainder R
+    can be filled by chains from the vertices v..ell-1 exactly when
+    R[q-1] >= R[q] for every q < v (indices mod ell) and, at v = ell, R = 0
+    (:func:`chain_fillable` gives the proof).  A chain from v covers q-1 at
+    least as often as q for every q != v, so a rise at some q < v never
+    goes away: a choice at vertex v is dropped, with all its extensions, as
+    soon as its remainder has one, and is yielded only if the remainder is
+    fillable from v+1.
+
+    Every deficit's list of multipartitions is built once and shared, as
+    the same objects, by all partitions that leave it; the fills from
+    vertex 1 onward are memoized per (remainder, vertex) for the duration
+    of the call, and each distinct chain-length tuple becomes one shared
+    ``Partition``.
 
     ``ValueError`` is raised exactly when the cone has more than
     ``max_count`` labels (a cone of ``max_count`` labels is returned
-    whole), or when some size up to n*ell has more than ``max_count``
-    partitions.  It fires as soon as the output would pass the cap, or as
-    soon as one memoized tail list passes it: a tail list is only built for
-    a remainder some prefix reaches, and each of its tails completes that
-    prefix to a different label.
-
-    Each distinct chain-length tuple becomes one shared ``Partition``.  The
-    result is sorted by :meth:`OrbitLabel.sort_key`, largest first.
+    whole).  It fires as soon as the output would pass the cap, or as soon
+    as one fill list passes it: a fill list is only built for a remainder
+    some label's prefix reaches, and each of its entries completes that
+    prefix to a different label.  Chains of length 1 fill any deficit, so
+    every admissible partition adds at least one label, and the walk stops
+    within ``max_count + 1`` partitions too.
     """
     if n < 0 or ell < 1:
         raise ValueError("need n >= 0 and ell >= 1")
-    target = delta(ell, n)
-    tails: dict[tuple[tuple[int, ...], int], list[tuple[Partition, ...]]] = {}
+    tails: dict[tuple[tuple[int, ...], int], list[tuple[Partition, ...]]] = {
+        ((0,) * ell, ell): [()]
+    }
     partitions: dict[tuple[int, ...], Partition] = {}
+    shared: dict[tuple[int, ...], list[Multipartition]] = {}
 
     def partition(lengths: tuple[int, ...]) -> Partition:
-        shared = partitions.get(lengths)
-        if shared is None:
-            shared = partitions[lengths] = Partition(lengths)
-        return shared
-
-    def choices(vertex: int, remaining: tuple[int, ...], cap: int, acc: tuple[int, ...]):
-        """Yield (lengths, what is left) for every chain multiset at vertex
-        with lengths at most cap that fits in remaining."""
-        yield acc, remaining
-        for length in range(min(cap, sum(remaining)), 0, -1):
-            rv = run_vector(vertex, length, ell)
-            if all(r >= v for r, v in zip(remaining, rv)):
-                yield from choices(
-                    vertex, tuple(r - v for r, v in zip(remaining, rv)), length, acc + (length,)
-                )
-
-    def fills(deficit: tuple[int, ...], vertex: int) -> list[tuple[Partition, ...]]:
-        """Every way to fill deficit exactly with chains at vertex..ell-1,
-        as one partition of chain lengths per vertex."""
-        key = (deficit, vertex)
-        found = tails.get(key)
+        found = partitions.get(lengths)
         if found is None:
-            if vertex == ell:
-                found = [] if any(deficit) else [()]
-            else:
-                found = []
-                for acc, remaining in choices(vertex, deficit, sum(deficit), ()):
-                    head = (partition(acc),)
-                    found.extend(head + rest for rest in fills(remaining, vertex + 1))
-                    if len(found) > max_count:
-                        raise ValueError(f"enumeration exceeds the cap of {max_count}")
-            tails[key] = found
+            found = partitions[lengths] = Partition(lengths)
+        return found
+
+    def choices(vertex: int, remaining: tuple[int, ...], total: int, cap: int, acc: tuple[int, ...]):
+        """Yield (lengths, rest) for every chain multiset at vertex with
+        lengths at most cap that leaves a rest fillable from vertex + 1,
+        largest lengths first and acc itself last."""
+        for length in range(min(cap, total), 0, -1):
+            rest = tuple(r - c for r, c in zip(remaining, run_vector(vertex, length, ell)))
+            if min(rest) >= 0 and chain_fillable(rest, vertex):
+                yield from choices(vertex, rest, total - length, length, acc + (length,))
+        if chain_fillable(remaining, vertex + 1):
+            yield acc, remaining
+
+    def fills(remaining: tuple[int, ...], vertex: int) -> list[tuple[Partition, ...]]:
+        """Every fill of remaining by chains at vertex..ell-1, as one
+        partition of chain lengths per vertex, largest first."""
+        found = tails.get((remaining, vertex))
+        if found is None:
+            found = []
+            for lengths, rest in choices(vertex, remaining, sum(remaining), n * ell, ()):
+                head = (partition(lengths),)
+                found.extend([head + tail for tail in fills(rest, vertex + 1)])
+                if len(found) > max_count:
+                    raise ValueError(f"enumeration exceeds the cap of {max_count}")
+            # the vertex-0 fills are kept once per deficit, as multipartitions
+            if vertex:
+                tails[(remaining, vertex)] = found
         return found
 
     out: list[OrbitLabel] = []
-    for m in range(0, n * ell + 1):
-        for lam in enumerate_partitions(m, max_count):
-            cres = column_residue(lam, ell)
-            if not target.dominates(cres):
-                continue
-            deficit = tuple(t - c for t, c in zip(target.main, cres.main))
-            for acc, remaining in choices(0, deficit, sum(deficit), ()):
-                rests = fills(remaining, 1)
-                if len(out) + len(rests) > max_count:
-                    raise ValueError(f"enumeration exceeds the cap of {max_count}")
-                head = (partition(acc),)
-                for rest in rests:
-                    out.append(OrbitLabel(lam, Multipartition(head + rest)))
-    out.sort(key=OrbitLabel.sort_key, reverse=True)
+    for parts, deficit in _admissible_partitions(n, ell):
+        nus = shared.get(deficit)
+        if nus is None:
+            nus = shared[deficit] = [Multipartition(fill) for fill in fills(deficit, 0)]
+        if len(out) + len(nus) > max_count:
+            raise ValueError(f"enumeration exceeds the cap of {max_count}")
+        lam = Partition(parts)
+        out.extend([OrbitLabel(lam, nu) for nu in nus])
     return out
 
 

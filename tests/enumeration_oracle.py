@@ -1,11 +1,18 @@
 """The direct orbit-label search and per-label row rendering, kept as test
 oracles.
 
-``residues.enumerate_orbit_labels`` memoizes the chain fills from vertex 1
-onward, and ``cli._cmd_enumerate`` renders each partition once per run of
-equal partitions.  This module keeps the independent versions they
-replaced: a generator that refills the chains from scratch for every
-partition, and a renderer that recomputes every row from its label alone.
+``residues.enumerate_orbit_labels`` walks only the admissible partitions,
+in output order; it enters only chain remainders that
+``residues.chain_fillable`` accepts, memoizes the fills from vertex 1
+onward and shares each deficit's fills between partitions.
+``cli._cmd_enumerate`` renders each partition once per run of equal
+partitions and each shared multipartition once.  This module keeps the
+independent versions they replaced: a search over every partition up to
+the size bound that refills the chains from scratch for each one, tries
+every chain choice (dead ends included) and sorts the labels at the end,
+and a renderer that recomputes every row from its label alone.
+``fill_with_chains`` is also the brute-force check of the fillability
+criterion.
 """
 
 from __future__ import annotations

@@ -210,6 +210,20 @@ def test_dot_roundtrip():
         assert from_dot(to_dot(d)) == d
     for c in (CircleDiagram(3, ((0, 4), (2, 2), (2, 2))), CircleDiagram(4, ((0, 2),)), CircleDiagram(2, ())):
         assert from_dot(to_dot(c)) == c
+    # the graph comment keeps the empty marked diagram marked
+    for ell in (1, 2, 3, 4):
+        for empty in (FrobeniusCircleDiagram(ell, ()), CircleDiagram(ell, ())):
+            back = from_dot(to_dot(empty))
+            assert back == empty and type(back) is type(empty)
+    # DOT without the comment parses as the circles' marks say; a comment
+    # that contradicts them is refused
+    d = frobenius_diagram_of_partition(Partition([2, 1]), 2)
+    assert from_dot(to_dot(d).replace('  comment="marked";\n', "")) == d
+    with pytest.raises(ValueError, match="contradicts"):
+        from_dot(to_dot(d).replace('"marked"', '"unmarked"'))
+    c = CircleDiagram(2, ((0, 2),))
+    with pytest.raises(ValueError, match="contradicts"):
+        from_dot(to_dot(c).replace("rankdir=LR;", 'rankdir=LR;\n  comment="marked";'))
 
 
 def test_chains_put_the_mark_in_block_0():

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from enumeration_oracle import enumerate_rows
+from enumeration_oracle import enumerate_rows, orbit_labels
 
 from nilquiver import (
     CircleDiagram,
@@ -69,12 +70,22 @@ def test_enumerate_orbits_is_deterministic(capsys):
 
 
 def test_enumerate_orbits_matches_the_per_label_rendering(capsys):
-    for ell, n, x in [(1, 4, None), (2, 3, None), (3, 2, None), (4, 2, None), (2, 3, 1), (3, 2, 2)]:
+    # the benchmark's cones, (1, 8), (2, 4), (3, 3) and (4, 2), are among them
+    cones = [(1, 4, None), (2, 3, None), (3, 2, None), (4, 2, None), (2, 3, 1), (3, 2, 2)]
+    cones += [(1, 8, None), (2, 4, None), (3, 3, None), (1, 8, 2), (2, 4, 1), (3, 3, 2), (4, 2, 1)]
+    for ell, n, x in cones:
         argv = ["enumerate-orbits", "--n", str(n), "--ell", str(ell)]
         if x is not None:
             argv += ["--x", str(x)]
         assert main(argv) == 0
-        assert capsys.readouterr().out == enumerate_rows(enumerate_orbit_labels(n, ell), n, ell, x)
+        assert capsys.readouterr().out == enumerate_rows(orbit_labels(n, ell), n, ell, x), (ell, n, x)
+
+
+def test_enumerate_orbits_over_the_cap_exits_2():
+    # over a million labels: the cap message, not a MemoryError traceback
+    code, out, err = run_cli(["enumerate-orbits", "--n", "30", "--ell", "3"], timeout=120)
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration exceeds the cap of 1000000\n"
 
 
 def test_enumerate_orbits_bad_row_exits_1(monkeypatch, capsys):
@@ -329,6 +340,9 @@ def test_render_rejects_malformed_dot():
         "undeclared node": chain[:-1] + "  c0_2 -> c9_9;\n}",
         "block skipped": pair[:-1] + "  c0_0 -> c1_0;\n}",
         "mark outside block 0": marked.replace('label="0"];', 'label="1"];'),
+        "marked record on unmarked circles": chain.replace("rankdir=LR;", 'rankdir=LR;\n  comment="marked";'),
+        "unmarked record on marked circles": marked.replace('comment="marked"', 'comment="unmarked"'),
+        "two records": marked.replace('comment="marked";', 'comment="marked";\n  comment="marked";'),
     }
     for name, text in texts.items():
         code, out, err = run_cli(["render", "--diagram", "-"], text, timeout=10)
@@ -336,14 +350,23 @@ def test_render_rejects_malformed_dot():
         assert "error" in err and "Traceback" not in err, name
 
 
-@pytest.mark.parametrize("ell", [1, 2, 3])
-def test_empty_diagram_dot_reads_back(ell):
-    # DOT with clusters but no nodes is the empty diagram of that ell
-    code, dot, err = run_cli(["render", "--partition", "[]", "--ell", str(ell), "--format", "dot"])
-    assert code == 0 and err == ""
-    assert dot.count("subgraph cluster_") == ell
-    code, out, err = run_cli(["render", "--diagram", "-", "--format", "dot"], dot, timeout=10)
-    assert (code, out, err) == (0, dot, "")
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_empty_diagram_dot_reads_back(ell, monkeypatch, capsys):
+    # DOT with clusters but no nodes is the empty diagram of that ell, and
+    # the graph comment keeps the empty marked diagram marked
+    def render(argv, stdin=""):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code = main(["render", *argv, "--format", "dot"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        return captured.out
+
+    marked = render(["--partition", "[]", "--ell", str(ell)])
+    unmarked = render(["--diagram", "-"], json.dumps({"ell": ell, "circles": []}))
+    assert marked.count("subgraph cluster_") == unmarked.count("subgraph cluster_") == ell
+    assert 'comment="marked";' in marked and "comment" not in unmarked
+    for dot in (marked, unmarked):
+        assert render(["--diagram", "-"], dot) == dot
 
 
 def test_decompose_reports_a_cycle_that_is_not_nilpotent(tmp_path):

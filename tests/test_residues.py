@@ -1,8 +1,9 @@
+import itertools
 import random
 import time
 
 import pytest
-from enumeration_oracle import orbit_labels
+from enumeration_oracle import fill_with_chains, orbit_labels
 
 from nilquiver import (
     DimensionVector,
@@ -25,6 +26,7 @@ from nilquiver import (
     shifted_residue,
     zero_hits,
 )
+from nilquiver.residues import chain_fillable
 
 
 def content_counts(lam, ell):
@@ -165,7 +167,7 @@ def test_enumerate_orbit_labels_matches_the_direct_search():
         + [(2, n) for n in range(7)]
         + [(3, n) for n in range(5)]
         + [(4, n) for n in range(4)]
-        + [(5, 2), (6, 2)]
+        + [(2, 5), (4, 3), (5, 2), (6, 2)]
     )
     for ell, n in cones:
         assert enumerate_orbit_labels(n, ell) == orbit_labels(n, ell), (ell, n)
@@ -175,8 +177,17 @@ def test_enumerate_orbit_labels_cap():
     assert len(enumerate_orbit_labels(2, 2, max_count=28)) == 28
     with pytest.raises(ValueError, match="cap of 27"):
         enumerate_orbit_labels(2, 2, max_count=27)
-    # the cap fires while the labels are produced, not after a full search
-    for n, ell in [(12, 2), (5, 4)]:
+    # a cone of exactly max_count labels comes back whole, one less raises;
+    # these are the cones the benchmark enumerates
+    for ell, n in [(1, 8), (2, 4), (3, 3), (4, 2)]:
+        labels = orbit_labels(n, ell)
+        assert enumerate_orbit_labels(n, ell, max_count=len(labels)) == labels
+        with pytest.raises(ValueError, match=f"cap of {len(labels) - 1}$"):
+            enumerate_orbit_labels(n, ell, max_count=len(labels) - 1)
+    # the cap fires while the labels are produced, not after a full search;
+    # (n, ell) = (30, 3) and (8, 6) took 14 s and 4.5 s while the search
+    # still entered remainders it could not fill, which no cap counts
+    for n, ell in [(12, 2), (5, 4), (30, 3), (8, 6), (12, 4)]:
         start = time.perf_counter()
         with pytest.raises(ValueError, match="cap of 1000"):
             enumerate_orbit_labels(n, ell, max_count=1000)
@@ -187,6 +198,21 @@ def test_enumerate_orbit_labels_cap():
     with pytest.raises(ValueError, match="cap of 1000"):
         enumerate_orbit_labels(2, 12, max_count=1000)
     assert time.perf_counter() - start < 5.0
+
+
+def test_chain_fillable_matches_the_direct_search():
+    # every remainder with entries up to 3, from every start vertex
+    checked = 0
+    for ell in range(1, 5):
+        for remaining in itertools.product(range(4), repeat=ell):
+            for vertex in range(ell + 1):
+                some_fill = next(fill_with_chains(remaining, vertex, ell), None)
+                assert chain_fillable(remaining, vertex) == (some_fill is not None), (
+                    remaining,
+                    vertex,
+                )
+                checked += 1
+    assert checked == 1592
 
 
 def test_label_count_matches_striped_count():
