@@ -75,15 +75,11 @@ from .rep_builder import (
 )
 from .decomposer import (
     Decomposition,
-    centralizer_basis,
     chain_multiplicities,
     cyclic_multiplicities,
     decompose_enhanced,
     framed_jordan_type,
-    hom_dim,
-    hom_fingerprint,
     isomorphic,
-    jordan_type,
 )
 from .linalg import RationalMatrix
 from .rep_type import (

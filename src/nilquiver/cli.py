@@ -458,6 +458,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the orbit enumeration nests once per vertex, so a cone of
+        # thousands of vertices runs out of stack
+        print("error: input too large: maximum recursion depth exceeded", file=sys.stderr)
+        return 2
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -43,8 +43,9 @@ of M, all pivots less dim K_{i+L} that of M/<v>.  A composite of
 ``dims.total`` arrows that does not vanish certifies that the cycle is not
 nilpotent.  Every answer is certified: the label's forward invariants
 (``_label_invariants``) must reproduce (A, B).  ``framed_jordan_type``
-(the centralizer invariant of a marked Jordan matrix) and
-``hom_fingerprint`` are independent test oracles.
+reads the Achar-Henderson bipartition of a marked nilpotent matrix off
+this one route and ``label_to_bipartition``; the centralizer route to the
+same pair and the hom probes are test oracles in ``tests/``.
 
 Everything is computed over exact rationals; an answer is either certified
 or an error is raised, never silently guessed.
@@ -55,111 +56,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .circle_diagrams import CircleDiagram, frobenius_diagram_of_partition
+from .circle_diagrams import CircleDiagram
 from .linalg import RationalMatrix, from_columns
+from .orbit_maps import label_to_bipartition
 from .partitions import Bipartition, FrobeniusPartition, Multipartition, Partition
 from .rep_builder import QuiverRep, label_chains
-from .residues import OrbitLabel, runs_vector
-
-
-# ---------------------------------------------------------------------------
-# Jordan data of a single nilpotent matrix
-# ---------------------------------------------------------------------------
-
-
-def jordan_type(x: RationalMatrix) -> Partition:
-    """Jordan block sizes of a nilpotent matrix, largest first.
-
-    Column j of the transpose counts rank(x^(j-1)) - rank(x^j); a matrix
-    whose n-th power fails to vanish is rejected.
-    """
-    if x.nrows != x.ncols:
-        raise ValueError("jordan type of a non-square matrix")
-    n = x.nrows
-    ranks = [n]
-    power = RationalMatrix.identity(n)
-    while ranks[-1] > 0:
-        power = x @ power
-        ranks.append(power.rank())
-        if len(ranks) > n + 1:
-            raise ValueError(f"matrix is not nilpotent: rank of the {n}-th power is positive")
-    cols = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))]
-    return Partition(cols).transpose()
-
-
-def centralizer_basis(x: RationalMatrix) -> list[RationalMatrix]:
-    """A basis of the matrices commuting with x."""
-    if x.nrows != x.ncols:
-        raise ValueError("centralizer of a non-square matrix")
-    n = x.nrows
-    if n == 0:
-        return []
-    rows = []
-    for r in range(n):
-        for c in range(n):
-            coeff = [Fraction(0)] * (n * n)
-            # (x @ m - m @ x)[r][c] = sum_s x[r][s] m[s][c] - m[r][s] x[s][c]
-            for s in range(n):
-                coeff[s * n + c] += x.entry(r, s)
-                coeff[r * n + s] -= x.entry(s, c)
-            rows.append(tuple(coeff))
-    basis = RationalMatrix(tuple(rows), n * n).nullspace()
-    return [
-        RationalMatrix(tuple(tuple(vec[r * n + c] for c in range(n)) for r in range(n)), n)
-        for vec in basis
-    ]
-
-
-def _split_by_subspace(x: RationalMatrix, spanning: list[tuple]) -> tuple[RationalMatrix, RationalMatrix]:
-    """Restriction of x to the span and the induced map on the quotient.
-
-    The span must be x-stable; its reduced basis is completed to a basis of
-    the ambient space by standard vectors, and x is rewritten in that basis.
-    """
-    n = x.nrows
-    if not spanning:
-        return RationalMatrix((), 0), x
-    pivots, reduced = RationalMatrix(tuple(spanning), n).rref()
-    basis = [tuple(reduced[r]) for r in range(len(pivots))]
-    r = len(basis)
-    pivot_set = set(pivots)
-    completion = []
-    for c in range(n):
-        if c not in pivot_set:
-            vec = [Fraction(0)] * n
-            vec[c] = Fraction(1)
-            completion.append(tuple(vec))
-    u = from_columns(basis + completion, n)
-    xp = u.inverse() @ x @ u
-    lower_left = [xp.entry(i, j) for i in range(r, n) for j in range(r)]
-    if any(e != 0 for e in lower_left):
-        raise ValueError("subspace is not stable under the matrix")
-    top = RationalMatrix(tuple(tuple(xp.entry(i, j) for j in range(r)) for i in range(r)), r)
-    bottom = RationalMatrix(
-        tuple(tuple(xp.entry(i, j) for j in range(r, n)) for i in range(r, n)), n - r
-    )
-    return top, bottom
-
-
-def framed_jordan_type(v: tuple, x: RationalMatrix) -> Bipartition:
-    """The marked-Jordan invariant of a vector inside a nilpotent matrix.
-
-    Returns (mu; nu) where mu is the Jordan type of x on the centralizer
-    orbit span Z(x)v and nu the type of the induced map on the quotient.
-    Rows are paired largest-first; mu + nu rearranges the type of x.
-    """
-    if len(v) != x.nrows:
-        raise ValueError("vector length must match the matrix size")
-    jordan_type(x)  # raises on non-nilpotent input
-    spanning = []
-    v = tuple(Fraction(a) for a in v)
-    if any(a != 0 for a in v):
-        spanning = [c.apply(v) for c in centralizer_basis(x)]
-        spanning = [w for w in spanning if any(a != 0 for a in w)]
-    sub, quot = _split_by_subspace(x, spanning)
-    return Bipartition(jordan_type(sub), jordan_type(quot))
+from .residues import DimensionVector, OrbitLabel, runs_vector
 
 
 # ---------------------------------------------------------------------------
@@ -276,117 +179,6 @@ def cyclic_multiplicities(rep: QuiverRep) -> Multipartition:
 
 
 # ---------------------------------------------------------------------------
-# hom spaces
-# ---------------------------------------------------------------------------
-
-
-def hom_dim(a: QuiverRep, b: QuiverRep) -> int:
-    """Dimension of the space of homomorphisms a -> b.
-
-    Framing is part of the structure: when both sides are framed the framing
-    component is a free scalar tied to f_0 by the framing vectors; when only
-    the source is framed, its framing vector must map to zero.
-    """
-    if a.ell != b.ell:
-        raise ValueError("cycle length mismatch")
-    ell = a.ell
-    da, db = a.dims.main, b.dims.main
-    offsets = []
-    nvars = 0
-    for i in range(ell):
-        offsets.append(nvars)
-        nvars += db[i] * da[i]
-    scalar = a.framed and b.framed
-    t_index = nvars
-    if scalar:
-        nvars += 1
-
-    rows: list[tuple] = []
-    for i in range(ell):
-        nxt = (i + 1) % ell
-        for r in range(db[nxt]):
-            for c in range(da[i]):
-                coeff = [Fraction(0)] * nvars
-                for s in range(da[nxt]):
-                    coeff[offsets[nxt] + r * da[nxt] + s] += a.maps[i].entry(s, c)
-                for s in range(db[i]):
-                    coeff[offsets[i] + s * da[i] + c] -= b.maps[i].entry(r, s)
-                rows.append(tuple(coeff))
-    if a.framed:
-        for r in range(db[0]):
-            coeff = [Fraction(0)] * nvars
-            for c in range(da[0]):
-                coeff[offsets[0] + r * da[0] + c] += a.framing_vector[c]
-            if scalar:
-                coeff[t_index] -= b.framing_vector[r]
-            rows.append(tuple(coeff))
-    if not rows:
-        return nvars
-    return nvars - RationalMatrix(tuple(rows), nvars).rank()
-
-
-class _PathComposites:
-    """The path composites of one representation, each formed at most once,
-    for the hom probes, which need the matrices themselves.
-
-    From each start vertex the composites of 0, 1, 2, ... arrows are built
-    on demand, one product per length.  Once a composite vanishes every
-    longer one from that vertex does too, so no product is formed past it.
-    """
-
-    def __init__(self, rep: QuiverRep):
-        self.rep = rep
-        self._rows: dict[int, list[RationalMatrix]] = {}
-
-    def path(self, start: int, length: int) -> RationalMatrix:
-        """Composite of ``length`` arrows beginning at ``start``."""
-        row = self._rows.get(start)
-        if row is None:
-            row = self._rows[start] = [RationalMatrix.identity(self.rep.dims.main[start])]
-        while len(row) <= length and not row[-1].is_zero():
-            at = (start + len(row) - 1) % self.rep.ell
-            row.append(self.rep.maps[at] @ row[-1])
-        if length < len(row):
-            return row[length]
-        main = self.rep.dims.main
-        return RationalMatrix.zero(main[(start + length) % self.rep.ell], main[start])
-
-
-class _HomProbing:
-    """Fast hom dimensions from chain-built probes into one fixed target."""
-
-    def __init__(self, target: QuiverRep):
-        self.target = target
-        self.paths = _PathComposites(target)
-        self._kernels: dict[tuple[int, int], list[tuple]] = {}
-
-    def _kernel(self, start: int, length: int) -> list[tuple]:
-        key = (start, length)
-        if key not in self._kernels:
-            self._kernels[key] = self.paths.path(start, length).nullspace()
-        return self._kernels[key]
-
-    def chain_hom(self, start: int, length: int) -> int:
-        """dim Hom(chain(start, length), target), framing ignored."""
-        return len(self._kernel(start, length))
-
-    def framed_hom(self, lam: Partition) -> int:
-        """dim Hom(framed indecomposable of lam, target) as framed reps."""
-        assert self.target.framed, "framed probes need a framed target"
-        columns: list[tuple] = []
-        dims_sum = 0
-        for start, length, arm in frobenius_diagram_of_partition(lam, self.target.ell).chains():
-            kernel = self._kernel(start, length)
-            dims_sum += len(kernel)
-            mark_path = self.paths.path(start, arm)
-            columns.extend(mark_path.apply(w) for w in kernel)
-        columns.append(tuple(-x for x in self.target.framing_vector))
-        d0 = self.target.dims.main[0]
-        rank = from_columns(columns, d0).rank()
-        return dims_sum + 1 - rank
-
-
-# ---------------------------------------------------------------------------
 # decomposition of framed representations
 # ---------------------------------------------------------------------------
 
@@ -485,35 +277,15 @@ def decompose_enhanced(rep: QuiverRep) -> Decomposition:
     return Decomposition(label.lam, label.nu)
 
 
-def hom_fingerprint(rep: QuiverRep) -> tuple[int, ...]:
-    """Hom dimensions from every indecomposable that fits inside rep.
-
-    Probes are all chains (i, N) with N up to the total dimension and, for
-    framed targets, all framed indecomposables whose chain dimensions fit
-    componentwise (the empty partition included, which detects a vanishing
-    framing vector).  Two nilpotent representations of equal dimension
-    vector are isomorphic exactly when these numbers agree; the test suite
-    validates that exhaustively at desk scale.
-    """
-    from .partitions import enumerate_partitions
-    from .residues import column_residue
-
-    total = rep.dims.total
-    ell = rep.ell
-    probing = _HomProbing(rep)
-    chains = tuple(
-        probing.chain_hom(i, length) for i in range(ell) for length in range(1, total + 1)
-    )
-    if not rep.framed:
-        return chains
-    framed_probes = [Partition()]
-    for m in range(1, total + 1):
-        for lam in enumerate_partitions(m):
-            if all(
-                a <= b for a, b in zip(column_residue(lam, ell).main, rep.dims.main)
-            ):
-                framed_probes.append(lam)
-    return chains + tuple(probing.framed_hom(lam) for lam in framed_probes)
+def framed_jordan_type(v: tuple, x: RationalMatrix) -> Bipartition:
+    """The Achar-Henderson bipartition (mu; nu) of a vector v and a
+    nilpotent matrix x: the label of the one-vertex framed representation
+    with arrow x and framing vector v, translated by
+    ``label_to_bipartition``.  mu + nu rearranges the Jordan type of x.
+    A non-nilpotent x or a v of the wrong length raises ValueError."""
+    rep = QuiverRep(1, DimensionVector(1, (x.nrows,)), (x,), tuple(v))
+    label = decompose_enhanced(rep).label()
+    return Bipartition(*label_to_bipartition(label.lam, label.nu[0]))
 
 
 def isomorphic(a: QuiverRep, b: QuiverRep) -> bool:

@@ -6,7 +6,9 @@ clearing denominators row by row.  Ranks come from fraction-free (Bareiss)
 elimination, inverses from its Gauss-Jordan form (Bareiss, Math. Comp. 22,
 1968), and products sum integer multiples of the cleared rows, skipping
 zero terms; each result entry is divided back into a ``Fraction`` once.
-Kernels come from exact ``Fraction`` Gauss-Jordan reduction.  There are no
+``rref`` and ``nullspace`` (exact ``Fraction`` Gauss-Jordan reduction) have
+no caller in the package: they serve the test oracles and the benchmark's
+tracer, which wraps them by name.  There are no
 tolerances anywhere in the package; orbit invariants are discrete rank data
 and must stay that way.
 """

@@ -79,24 +79,13 @@ class QuiverRep:
     def framed(self) -> bool:
         return self.dims.framing == 1
 
-    def path_map(self, start: int, length: int) -> RationalMatrix:
-        """Composite of ``length`` consecutive arrows beginning at ``start``."""
-        result = RationalMatrix.identity(self.dims.main[start % self.ell])
-        at = start % self.ell
-        for _ in range(length):
-            result = self.maps[at] @ result
-            at = (at + 1) % self.ell
-        return result
-
-    def cycle_map(self) -> RationalMatrix:
-        """Once around the cycle, based at vertex 0."""
-        return self.path_map(0, self.ell)
-
     def nilpotency_degree(self) -> int:
-        """Smallest e with cycle^e = 0; raises if the cycle is not nilpotent."""
+        """Smallest e with cycle^e = 0, the cycle going once around from
+        vertex 0; raises if the cycle is not nilpotent."""
         d0 = self.dims.main[0]
-        power = RationalMatrix.identity(d0)
-        cycle = self.cycle_map()
+        cycle = power = RationalMatrix.identity(d0)
+        for arrow in self.maps:
+            cycle = arrow @ cycle
         for e in range(d0 + 1):
             if power.is_zero():
                 return e
@@ -321,11 +310,6 @@ def _invertible_draw(n: int, rng) -> tuple[RationalMatrix, RationalMatrix]:
             return m, m.inverse()
         except ValueError:  # singular: draw again
             pass
-
-
-def random_invertible(n: int, rng) -> RationalMatrix:
-    """A random invertible integer matrix with small entries."""
-    return _invertible_draw(n, rng)[0]
 
 
 def random_base_change(rep: QuiverRep, rng) -> QuiverRep:

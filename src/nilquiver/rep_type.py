@@ -91,19 +91,6 @@ def tits_form(window: CoveringWindow, main, framing) -> int:
     return q
 
 
-def tits_bilinear(window: CoveringWindow, u, v) -> int:
-    """Polarization of the Tits form: q(u+v) - q(u) - q(v)."""
-    u_main, u_fr = u
-    v_main, v_fr = v
-    total_main = tuple(a + b for a, b in zip(u_main, v_main))
-    total_fr = tuple(a + b for a, b in zip(u_fr, v_fr))
-    return (
-        tits_form(window, total_main, total_fr)
-        - tits_form(window, u_main, u_fr)
-        - tits_form(window, v_main, v_fr)
-    )
-
-
 #: Stored wildness certificates: window plus vector, all evaluating to -1.
 #: The first three live on windows too short for any relation to fit, and
 #: the remaining families extend null vectors of Euclidean subgraphs

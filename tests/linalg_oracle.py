@@ -5,15 +5,16 @@ arithmetic on rows cleared of their denominators.  This module keeps the
 routes they replaced: the dense product that sums every ``Fraction`` pair,
 zeros included, and the inverse read off the ``Fraction`` reduced row
 echelon form of [g | I].  ``conjugate`` is the base change of
-``rep_builder.conjugate`` built from these two, and ``rank_tested_invertible``
-draws as ``rep_builder.random_invertible`` did before each draw was tested
-by its inverse: a singular draw is found by its rank.
+``rep_builder.conjugate`` built from these two.  ``random_invertible`` is
+the draw ``random_base_change`` makes at one vertex, and
+``rank_tested_invertible`` draws as it did before each draw was tested by
+its inverse: a singular draw is found by its rank.
 """
 
 from __future__ import annotations
 
 from nilquiver.linalg import RationalMatrix, hstack
-from nilquiver.rep_builder import QuiverRep
+from nilquiver.rep_builder import QuiverRep, _invertible_draw
 
 
 def dense_product(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -60,3 +61,8 @@ def rank_tested_invertible(n: int, rng) -> RationalMatrix:
         m = RationalMatrix(tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)), n)
         if m.rank() == n:
             return m
+
+
+def random_invertible(n: int, rng) -> RationalMatrix:
+    """The matrix ``random_base_change`` draws at a vertex of dimension n."""
+    return _invertible_draw(n, rng)[0]

@@ -34,7 +34,6 @@ from nilquiver import (
     enumerate_partitions,
     enumerate_striped,
     framed_jordan_type,
-    hom_fingerprint,
     isomorphic,
     random_base_change,
     removable_rows_cyclic,
@@ -45,6 +44,9 @@ from nilquiver import (
 )
 from nilquiver.linalg import RationalMatrix
 from nilquiver.rep_type import CoveringWindow, RepType
+
+import jordan_oracle
+from fingerprint_oracle import hom_fingerprint
 
 P = Partition
 
@@ -154,7 +156,7 @@ def test_04_decomposition_oracle_one_vertex():
             rep = build_framed_jordan(bp.first, bp.second)
             eta, zeta = bipartition_to_label(bp.first, bp.second)
             want = (eta, Multipartition((zeta,)))
-            pair = framed_jordan_type(rep.framing_vector, rep.maps[0])
+            pair = jordan_oracle.framed_jordan_type(rep.framing_vector, rep.maps[0])
             oracle = bipartition_to_label(pair.first, pair.second)
             assert (oracle[0], Multipartition((oracle[1],))) == want
             out = decompose_enhanced(rep)

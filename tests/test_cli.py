@@ -88,6 +88,14 @@ def test_enumerate_orbits_over_the_cap_exits_2():
     assert err == "error: enumeration exceeds the cap of 1000000\n"
 
 
+def test_enumerate_orbits_too_deep_exits_2(capsys):
+    # a cone of 2000 vertices: a message, not a RecursionError traceback
+    assert main(["enumerate-orbits", "--n", "1", "--ell", "2000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input too large: maximum recursion depth exceeded\n"
+
+
 def test_enumerate_orbits_bad_row_exits_1(monkeypatch, capsys):
     stray = OrbitLabel(Partition([2]), Multipartition((Partition(),)))
 

@@ -18,27 +18,34 @@ from nilquiver import (
     build_label_rep,
     build_striped,
     bipartition_to_label,
-    centralizer_basis,
     chain_multiplicities,
     cyclic_multiplicities,
     decompose_enhanced,
     direct_sum,
     enumerate_bipartitions,
     enumerate_orbit_labels,
+    enumerate_partitions,
     enumerate_striped,
     framed_jordan_type,
-    hom_dim,
-    hom_fingerprint,
     isomorphic,
-    jordan_type,
     random_base_change,
     striped_label,
 )
 from nilquiver.decomposer import _krylov_spans, _label_invariants, _label_of_chains, _rank_tables
 from nilquiver.linalg import RationalMatrix
-from nilquiver.rep_builder import QuiverRep, random_invertible
+from nilquiver.rep_builder import QuiverRep
 
-from fingerprint_oracle import candidate_labels, fingerprint_decompose, label_fingerprint
+import jordan_oracle
+from fingerprint_oracle import (
+    _HomProbing,
+    candidate_labels,
+    fingerprint_decompose,
+    hom_dim,
+    hom_fingerprint,
+    label_fingerprint,
+)
+from jordan_oracle import centralizer_basis, jordan_type
+from linalg_oracle import random_invertible
 from rank_oracle import path_ranks
 
 P = Partition
@@ -112,6 +119,31 @@ def test_framed_jordan_type_is_orbit_invariant():
             moved = random_base_change(rep, rng)
             pair = framed_jordan_type(moved.framing_vector, moved.maps[0])
             assert (pair.first, pair.second) == (mu, nu)
+
+
+def test_framed_jordan_type_matches_the_centralizer_oracle():
+    # the label route against the centralizer route, on every marked Jordan
+    # normal form to n = 6, plain and disguised
+    rng = random.Random(3)
+    for n in range(7):
+        for bp in enumerate_bipartitions(n):
+            rep = build_framed_jordan(bp.first, bp.second)
+            for case in (rep, random_base_change(rep, rng)):
+                v, x = case.framing_vector, case.maps[0]
+                assert framed_jordan_type(v, x) == jordan_oracle.framed_jordan_type(v, x) == bp
+        # a zero vector leaves the whole Jordan type to the quotient
+        for lam in enumerate_partitions(n):
+            v, x = (0,) * n, jordan_matrix(lam.parts)
+            want = Bipartition(P([]), lam)
+            assert framed_jordan_type(v, x) == jordan_oracle.framed_jordan_type(v, x) == want
+    v, x = (), RationalMatrix((), 0)
+    assert framed_jordan_type(v, x) == jordan_oracle.framed_jordan_type(v, x) == Bipartition(P([]), P([]))
+    # a non-nilpotent matrix, and a vector of the wrong length
+    bad = [((1, 0), RationalMatrix.identity(2)), ((1, 0, 0), jordan_matrix([2]))]
+    for route in (framed_jordan_type, jordan_oracle.framed_jordan_type):
+        for v, x in bad:
+            with pytest.raises(ValueError):
+                route(v, x)
 
 
 def test_chain_multiplicities_of_constructed_sums():
@@ -194,8 +226,6 @@ def test_hom_dim_framing_sensitivity():
 
 def test_fast_framed_probing_agrees_with_the_linear_system():
     # the closed-form probe homs must match the general intertwiner count
-    from nilquiver.decomposer import _HomProbing
-
     rng = random.Random(9)
     labels = enumerate_orbit_labels(1, 2) + enumerate_orbit_labels(2, 2)
     probes = sorted({l.lam for l in labels} | {P([])}, key=lambda p: p.parts)
@@ -215,8 +245,6 @@ def test_fast_framed_probing_agrees_with_the_linear_system():
 def test_label_fingerprint_matches_linear_algebra():
     # the closed-form candidate fingerprint against the probes of the built
     # representative, over every label and probe partition of each cone
-    from nilquiver.decomposer import _HomProbing
-
     for ell, top in [(1, 6), (2, 3), (3, 2), (4, 2)]:
         for n in range(top + 1):
             labels = enumerate_orbit_labels(n, ell)
@@ -273,7 +301,7 @@ def test_decompose_normal_forms_match_the_translation():
         for bp in enumerate_bipartitions(n):
             rep = build_framed_jordan(bp.first, bp.second)
             eta, zeta = bipartition_to_label(bp.first, bp.second)
-            pair = framed_jordan_type(rep.framing_vector, rep.maps[0])
+            pair = jordan_oracle.framed_jordan_type(rep.framing_vector, rep.maps[0])
             assert bipartition_to_label(pair.first, pair.second) == (eta, zeta)
             out = decompose_enhanced(rep)
             assert out.framed_part == eta
@@ -400,7 +428,7 @@ def test_decompose_survives_rational_rescaling(label, seed, data):
     scaled = rescaled(rep, factors)
     assert decompose_enhanced(scaled).label() == label
     if label.ell == 1:
-        pair = framed_jordan_type(scaled.framing_vector, scaled.maps[0])
+        pair = jordan_oracle.framed_jordan_type(scaled.framing_vector, scaled.maps[0])
         eta, zeta = bipartition_to_label(pair.first, pair.second)
         assert OrbitLabel(eta, Multipartition((zeta,))) == label
 
@@ -499,7 +527,7 @@ def test_methods_agree_on_one_vertex_inputs():
     for n in range(5):
         for bp in enumerate_bipartitions(n):
             rep = random_base_change(build_framed_jordan(bp.first, bp.second), rng)
-            pair = framed_jordan_type(rep.framing_vector, rep.maps[0])
+            pair = jordan_oracle.framed_jordan_type(rep.framing_vector, rep.maps[0])
             eta, zeta = bipartition_to_label(pair.first, pair.second)
             a = Decomposition(eta, Multipartition((zeta,)))
             b = decompose_enhanced(rep)

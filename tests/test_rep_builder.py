@@ -28,7 +28,8 @@ from nilquiver import (
     zero_hits,
 )
 from nilquiver.linalg import RationalMatrix
-from nilquiver.rep_builder import label_chains, random_invertible
+from nilquiver.rep_builder import label_chains
+from linalg_oracle import random_invertible
 
 P = Partition
 

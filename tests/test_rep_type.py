@@ -11,7 +11,19 @@ from nilquiver import (
     tits_form,
     wildness_witness,
 )
-from nilquiver.rep_type import tits_bilinear
+
+
+def tits_bilinear(window, u, v) -> int:
+    """Polarization of the Tits form: q(u+v) - q(u) - q(v)."""
+    u_main, u_fr = u
+    v_main, v_fr = v
+    total_main = tuple(a + b for a, b in zip(u_main, v_main))
+    total_fr = tuple(a + b for a, b in zip(u_fr, v_fr))
+    return (
+        tits_form(window, total_main, total_fr)
+        - tits_form(window, u_main, u_fr)
+        - tits_form(window, v_main, v_fr)
+    )
 
 
 def brute_force_min(window, max_entry):
