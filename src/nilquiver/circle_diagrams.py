@@ -16,9 +16,9 @@ bijection between marked diagrams and partitions used for orbit labels.
 Both kinds list their circles as chains through ``chains()``: one triple
 (start, length, mark) per circle, with mark None for an unmarked circle.
 ``FrobeniusCircleDiagram.chains`` is the one place the start -mark mod ell
-is worked out; dimension vectors, JSON, DOT and ASCII forms, the
-representatives built in ``rep_builder`` and the decomposer's hook probes
-all read their chains from it.
+is worked out; dimension vectors, JSON, DOT and ASCII forms and the
+representatives built in ``rep_builder`` read their chains from it, as do
+the hook probes of the tests' fingerprint oracle.
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ import re
 from dataclasses import dataclass
 
 from .partitions import FrobeniusPartition, Multipartition, Partition, json_int
-from .residues import (
-    DimensionVector,
-    run_vector,
-    runs_vector,
-    zero_hits,
-    chain_allowed,
-)
+from .residues import DimensionVector, chain_allowed, chain_fills, runs_vector, zero_hits
 
 
 class _Diagram:
@@ -238,50 +232,25 @@ def bounded_circle_diagrams(
     max_length: int | None = None,
     max_zero_hits: int | None = None,
 ) -> list[CircleDiagram]:
-    """All unmarked diagrams with dimension vector d, circlewise filtered.
+    """All unmarked diagrams with dimension vector d, circlewise filtered,
+    sorted by their circles.
 
     ``max_length`` caps the vertex count of each circle; ``max_zero_hits``
     caps how often each circle passes block 0 (the nilpotency-degree bound).
+    The diagrams are the fills of :func:`~nilquiver.residues.chain_fills`
+    with cap ``max_length``, the search that also fills the orbit labels,
+    so more than ``DEFAULT_ENUMERATION_CAP`` fills of d within the length
+    cap raise its ``ValueError``, before the block-0 filter is applied.
     """
     if d.ell != ell:
         raise ValueError("dimension vector has the wrong cycle length")
-
-    def ok(start: int, length: int) -> bool:
-        if max_length is not None and length > max_length:
-            return False
-        if max_zero_hits is not None and not chain_allowed(start, length, ell, max_zero_hits):
-            return False
-        return True
-
-    total = d.total
-    allowed = [
-        (s, p) for p in range(total, 0, -1) for s in range(ell) if ok(s, p)
-    ]
-
-    out: list[CircleDiagram] = []
-
-    def search(idx: int, remaining: tuple[int, ...], acc: list[tuple[int, int]]):
-        if all(r == 0 for r in remaining):
-            out.append(CircleDiagram(ell, tuple(acc)))
-            return
-        if idx == len(allowed):
-            return
-        start, length = allowed[idx]
-        rv = run_vector(start, length, ell)
-        copies = 0
-        while True:
-            if copies:
-                if not all(r >= v for r, v in zip(remaining, rv)):
-                    break
-                remaining = tuple(r - v for r, v in zip(remaining, rv))
-                acc.append((start, length))
-            search(idx + 1, remaining, acc)
-            copies += 1
-        for _ in range(copies - 1):
-            acc.pop()
-
-    search(0, d.main, [])
-    return sorted(out, key=lambda c: c.circles)
+    fills = chain_fills(ell, d.total if max_length is None else max_length)(d.main, 0)
+    diagrams = [CircleDiagram.from_multipartition(Multipartition(fill)) for fill in fills]
+    if max_zero_hits is not None:
+        diagrams = [
+            c for c in diagrams if all(chain_allowed(s, p, ell, max_zero_hits) for s, p in c.circles)
+        ]
+    return sorted(diagrams, key=lambda c: c.circles)
 
 
 def to_dot(diagram: "CircleDiagram | FrobeniusCircleDiagram") -> str:

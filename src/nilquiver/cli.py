@@ -463,6 +463,9 @@ def main(argv=None) -> int:
         # thousands of vertices runs out of stack
         print("error: input too large: maximum recursion depth exceeded", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: input too large", file=sys.stderr)
+        return 2
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

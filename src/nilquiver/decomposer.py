@@ -289,9 +289,5 @@ def framed_jordan_type(v: tuple, x: RationalMatrix) -> Bipartition:
 
 
 def isomorphic(a: QuiverRep, b: QuiverRep) -> bool:
-    """Isomorphism test through canonical labels."""
-    if a.ell != b.ell or a.dims != b.dims:
-        return False
-    if a.framed:
-        return decompose_enhanced(a) == decompose_enhanced(b)
-    return cyclic_multiplicities(a) == cyclic_multiplicities(b)
+    """Isomorphism test through canonical decompositions."""
+    return a.dims == b.dims and decompose_enhanced(a) == decompose_enhanced(b)

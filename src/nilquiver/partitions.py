@@ -253,15 +253,9 @@ def enumerate_partitions(n: int, max_count: int = DEFAULT_ENUMERATION_CAP) -> li
 
 
 def enumerate_bipartitions(n: int, max_count: int = DEFAULT_ENUMERATION_CAP) -> list[Bipartition]:
-    """All bipartitions of n; first component sizes run from n down to 0."""
-    out = []
-    for m in range(n, -1, -1):
-        for first in enumerate_partitions(m, max_count):
-            for second in enumerate_partitions(n - m, max_count):
-                out.append(Bipartition(first, second))
-                if len(out) > max_count:
-                    raise ValueError(f"enumeration exceeds the cap of {max_count}")
-    return out
+    """All bipartitions of n, in the order of the 2-multipartitions: first
+    component sizes run from n down to 0, each component lex decreasing."""
+    return [Bipartition(*m) for m in enumerate_multipartitions(n, 2, max_count)]
 
 
 def enumerate_multipartitions(

@@ -30,7 +30,7 @@ from fractions import Fraction
 from .circle_diagrams import frobenius_diagram_of_partition
 from .linalg import RationalMatrix, as_fraction, block_diag, fraction_str
 from .orbit_maps import StripedBipartition
-from .partitions import Partition, json_int
+from .partitions import Multipartition, Partition, json_int
 from .residues import DimensionVector, OrbitLabel, dim_framed
 
 
@@ -126,15 +126,18 @@ class QuiverRep:
             for i, rows in enumerate(arrows):
                 nrows = main[(i + 1) % ell]
                 ncols = main[i]
-                entries = tuple(
-                    tuple(as_fraction(x) for x in _json_list(row, f"maps[{i}][{r}]"))
-                    for r, row in enumerate(_json_list(rows, f"maps[{i}]"))
+                # the matrix coerces each row's entries as the row is checked
+                m = RationalMatrix(
+                    (
+                        _json_list(row, f"maps[{i}][{r}]")
+                        for r, row in enumerate(_json_list(rows, f"maps[{i}]"))
+                    ),
+                    ncols,
                 )
-                m = RationalMatrix(entries, ncols)
                 if m.nrows != nrows:
                     raise ValueError(f"arrow {i} has {m.nrows} rows, expected {nrows}")
                 maps.append(m)
-            framing = tuple(as_fraction(x) for x in _json_list(data["framing_vector"], "framing_vector"))
+            framing = tuple(_json_list(data["framing_vector"], "framing_vector"))
         except KeyError as exc:
             raise ValueError(f"representation JSON lacks the key {exc}") from exc
         except (TypeError, IndexError) as exc:
@@ -201,7 +204,7 @@ def build_framed(lam: Partition, ell: int) -> QuiverRep:
     to the sum of the marked vectors.  The empty partition gives the zero
     space with framing dimension one and zero framing vector.
     """
-    rep = _assemble(ell, list(frobenius_diagram_of_partition(lam, ell).chains()), framed=True)
+    rep = build_label_rep(OrbitLabel(lam, Multipartition.empty(ell)))
     assert rep.dims == dim_framed(lam, ell), "chain dimensions must match the residue count"
     return rep
 

@@ -91,16 +91,17 @@ def tits_form(window: CoveringWindow, main, framing) -> int:
     return q
 
 
-#: Stored wildness certificates: window plus vector, all evaluating to -1.
-#: The first three live on windows too short for any relation to fit, and
-#: the remaining families extend null vectors of Euclidean subgraphs
-#: (D-type for ell = 4, E7-type for ell >= 5) by one extra row.
+#: Stored wildness certificates keyed by min(ell, 5): window plus vector,
+#: all evaluating to -1.  The first three live on windows too short for any
+#: relation to fit, and the remaining families extend null vectors of
+#: Euclidean subgraphs (D-type for ell = 4, E7-type for ell >= 5) by one
+#: extra row.
 _WITNESS_TABLE = {
-    "ell1": ((1, 2, 3, 4), (2, 3, 3, 2), (1, 2, 2, 1)),
-    "ell2": ((2, 4, 6), (1, 2, 2, 3, 2, 2, 1), (1, 1, 1)),
-    "ell3": ((3, 6), (1, 2, 3, 3, 3, 3, 2, 1), (1, 1)),
-    "ell4": ((2, 6), (2, 4, 4, 4, 4, 4, 2, 1), (2, 2)),
-    "big": ((5,), (1, 2, 4, 6, 8, 6, 4, 2), (4,)),
+    1: ((1, 2, 3, 4), (2, 3, 3, 2), (1, 2, 2, 1)),
+    2: ((2, 4, 6), (1, 2, 2, 3, 2, 2, 1), (1, 1, 1)),
+    3: ((3, 6), (1, 2, 3, 3, 3, 3, 2, 1), (1, 1)),
+    4: ((2, 6), (2, 4, 4, 4, 4, 4, 2, 1), (2, 2)),
+    5: ((5,), (1, 2, 4, 6, 8, 6, 4, 2), (4,)),
 }
 
 
@@ -115,17 +116,7 @@ def wildness_witness(
     """
     if classify(ell, x) is not RepType.WILD:
         return None
-    if ell == 1:
-        key = "ell1"
-    elif ell == 2:
-        key = "ell2"
-    elif ell == 3:
-        key = "ell3"
-    elif ell == 4:
-        key = "ell4"
-    else:
-        key = "big"
-    framing_rows, main, framing = _WITNESS_TABLE[key]
+    framing_rows, main, framing = _WITNESS_TABLE[min(ell, 5)]
     window = CoveringWindow(ell, x, len(main), framing_rows)
     value = tits_form(window, main, framing)
     assert value <= -1, "stored wildness certificate failed to evaluate"

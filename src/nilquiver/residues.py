@@ -219,6 +219,70 @@ def chain_fillable(remaining: tuple[int, ...], vertex: int) -> bool:
     return all(remaining[q - 1] >= remaining[q] for q in range(vertex))
 
 
+def chain_fills(ell: int, cap: int, max_count: int = DEFAULT_ENUMERATION_CAP):
+    """The fill search: ``fills(remaining, vertex)`` lists every fill of the
+    nonnegative vector remaining by chains of length at most cap starting at
+    the vertices vertex, ..., ell-1, as one partition of chain lengths per
+    vertex, largest lengths tuple first.
+
+    A chain of length N at vertex v occupies run_vector(v, N, ell).  The
+    search only ever enters a remainder that :func:`chain_fillable` accepts:
+    a chain from v covers q-1 at least as often as q for every q != v, so a
+    rise at some q < v never goes away, and a choice at vertex v is dropped,
+    with all its extensions, as soon as its remainder has one.  Without a
+    binding cap every remainder entered can be completed; a cap below the
+    lengths that would complete it only leaves its fill list empty.  All
+    copies of one length are taken in one loop, so the search nests once
+    per distinct length, never once per chain.
+
+    The fills from vertex 1 onward are memoized per (remainder, vertex), and
+    each distinct chain-length tuple becomes one shared ``Partition``.  A
+    fill list longer than ``max_count`` raises ``ValueError``.
+    """
+    tails: dict[tuple[tuple[int, ...], int], list[tuple[Partition, ...]]] = {
+        ((0,) * ell, ell): [()]
+    }
+    partitions: dict[tuple[int, ...], Partition] = {}
+
+    def partition(lengths: tuple[int, ...]) -> Partition:
+        found = partitions.get(lengths)
+        if found is None:
+            found = partitions[lengths] = Partition(lengths)
+        return found
+
+    def choices(vertex: int, remaining: tuple[int, ...], total: int, cap: int, acc: tuple[int, ...]):
+        """Yield (lengths, rest) for every chain multiset at vertex with
+        lengths at most cap that leaves a rest fillable from vertex + 1,
+        largest lengths first and acc itself last."""
+        for length in range(min(cap, total), 0, -1):
+            step = run_vector(vertex, length, ell)
+            rests = [remaining]  # rests[k]: the remainder after k copies
+            while min(rest := tuple(r - c for r, c in zip(rests[-1], step))) >= 0:
+                if not chain_fillable(rest, vertex):
+                    break
+                rests.append(rest)
+            for k in range(len(rests) - 1, 0, -1):
+                yield from choices(vertex, rests[k], total - k * length, length - 1, acc + (length,) * k)
+        if chain_fillable(remaining, vertex + 1):
+            yield acc, remaining
+
+    def fills(remaining: tuple[int, ...], vertex: int) -> list[tuple[Partition, ...]]:
+        found = tails.get((remaining, vertex))
+        if found is None:
+            found = []
+            for lengths, rest in choices(vertex, remaining, sum(remaining), cap, ()):
+                head = (partition(lengths),)
+                found.extend([head + tail for tail in fills(rest, vertex + 1)])
+                if len(found) > max_count:
+                    raise ValueError(f"enumeration exceeds the cap of {max_count}")
+            # a caller keeps the vertex-0 fills it needs again
+            if vertex:
+                tails[(remaining, vertex)] = found
+        return found
+
+    return fills
+
+
 def _admissible_partitions(n: int, ell: int):
     """Yield (parts, n*delta - column_residue) for every partition whose
     column residue is at most n at each vertex, parts lexicographically
@@ -254,26 +318,12 @@ def enumerate_orbit_labels(
     The residue equation column_residue(lam) + shifted_residue(nu) = n*delta
     bounds lam, so the search is finite and complete.  The admissible
     partitions are walked in the output order, and each one's deficit
-    n*delta - column_residue(lam) is filled with chains vertex by vertex: a
-    chain of length N at vertex v occupies run_vector(v, N, ell), and
-    component v of nu lists the lengths chosen at v in weakly decreasing
-    order.  Each vertex's choices come largest lengths tuple first, so the
-    labels come out sorted, without a sort.
-
-    The search only ever enters a remainder it can complete.  A remainder R
-    can be filled by chains from the vertices v..ell-1 exactly when
-    R[q-1] >= R[q] for every q < v (indices mod ell) and, at v = ell, R = 0
-    (:func:`chain_fillable` gives the proof).  A chain from v covers q-1 at
-    least as often as q for every q != v, so a rise at some q < v never
-    goes away: a choice at vertex v is dropped, with all its extensions, as
-    soon as its remainder has one, and is yielded only if the remainder is
-    fillable from v+1.
-
-    Every deficit's list of multipartitions is built once and shared, as
-    the same objects, by all partitions that leave it; the fills from
-    vertex 1 onward are memoized per (remainder, vertex) for the duration
-    of the call, and each distinct chain-length tuple becomes one shared
-    ``Partition``.
+    n*delta - column_residue(lam) is filled with chains by
+    :func:`chain_fills`, whose cap n*ell never binds: component v of nu
+    lists the chain lengths at vertex v.  The fills come largest lengths
+    tuple first, so the labels come out sorted, without a sort.  Every
+    deficit's list of multipartitions is built once and shared, as the same
+    objects, by all partitions that leave it.
 
     ``ValueError`` is raised exactly when the cone has more than
     ``max_count`` labels (a cone of ``max_count`` labels is returned
@@ -286,45 +336,8 @@ def enumerate_orbit_labels(
     """
     if n < 0 or ell < 1:
         raise ValueError("need n >= 0 and ell >= 1")
-    tails: dict[tuple[tuple[int, ...], int], list[tuple[Partition, ...]]] = {
-        ((0,) * ell, ell): [()]
-    }
-    partitions: dict[tuple[int, ...], Partition] = {}
+    fills = chain_fills(ell, n * ell, max_count)
     shared: dict[tuple[int, ...], list[Multipartition]] = {}
-
-    def partition(lengths: tuple[int, ...]) -> Partition:
-        found = partitions.get(lengths)
-        if found is None:
-            found = partitions[lengths] = Partition(lengths)
-        return found
-
-    def choices(vertex: int, remaining: tuple[int, ...], total: int, cap: int, acc: tuple[int, ...]):
-        """Yield (lengths, rest) for every chain multiset at vertex with
-        lengths at most cap that leaves a rest fillable from vertex + 1,
-        largest lengths first and acc itself last."""
-        for length in range(min(cap, total), 0, -1):
-            rest = tuple(r - c for r, c in zip(remaining, run_vector(vertex, length, ell)))
-            if min(rest) >= 0 and chain_fillable(rest, vertex):
-                yield from choices(vertex, rest, total - length, length, acc + (length,))
-        if chain_fillable(remaining, vertex + 1):
-            yield acc, remaining
-
-    def fills(remaining: tuple[int, ...], vertex: int) -> list[tuple[Partition, ...]]:
-        """Every fill of remaining by chains at vertex..ell-1, as one
-        partition of chain lengths per vertex, largest first."""
-        found = tails.get((remaining, vertex))
-        if found is None:
-            found = []
-            for lengths, rest in choices(vertex, remaining, sum(remaining), n * ell, ()):
-                head = (partition(lengths),)
-                found.extend([head + tail for tail in fills(rest, vertex + 1)])
-                if len(found) > max_count:
-                    raise ValueError(f"enumeration exceeds the cap of {max_count}")
-            # the vertex-0 fills are kept once per deficit, as multipartitions
-            if vertex:
-                tails[(remaining, vertex)] = found
-        return found
-
     out: list[OrbitLabel] = []
     for parts, deficit in _admissible_partitions(n, ell):
         nus = shared.get(deficit)

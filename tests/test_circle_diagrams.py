@@ -145,14 +145,32 @@ def test_weight_filtered_bijection():
 
 
 def test_bounded_circle_diagrams_against_tiling_oracle():
-    for ell, main in [(1, (3,)), (2, (2, 1)), (3, (1, 1, 1)), (2, (2, 2))]:
+    # the oracle's circle list is filtered by the same two predicates
+    for ell, main in [(1, (3,)), (2, (2, 1)), (3, (1, 1, 1)), (2, (2, 2)), (3, (2, 2, 2))]:
         d = DimensionVector(0, main)
         total = sum(main)
-        allowed = [(s, p) for p in range(total, 0, -1) for s in range(ell)]
-        want = brute_force_tilings(ell, main, allowed)
-        got = bounded_circle_diagrams(ell, d)
-        assert {tuple(sorted(x.circles)) for x in got} == want
-        assert len(got) == len(want)
+        for max_length in (None, *range(1, total + 1)):
+            for max_zero_hits in (None, 1, 2):
+                allowed = [
+                    (s, p)
+                    for p in range(total, 0, -1)
+                    for s in range(ell)
+                    if (max_length is None or p <= max_length)
+                    and (max_zero_hits is None
+                         or sum((s + k) % ell == 0 for k in range(p)) <= max_zero_hits)
+                ]
+                want = brute_force_tilings(ell, main, allowed)
+                got = bounded_circle_diagrams(ell, d, max_length, max_zero_hits)
+                case = (ell, main, max_length, max_zero_hits)
+                assert {tuple(sorted(x.circles)) for x in got} == want, case
+                assert len(got) == len(want), case
+                assert [x.circles for x in got] == sorted(x.circles for x in got), case
+
+
+def test_bounded_circle_diagrams_of_many_short_circles():
+    # two thousand circles of length 1: the search must not nest once per circle
+    got = bounded_circle_diagrams(1, DimensionVector(0, (2000,)), max_length=1)
+    assert [d.circles for d in got] == [((0, 1),) * 2000]
 
 
 def test_bounded_circle_diagram_filters():

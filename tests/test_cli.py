@@ -96,6 +96,16 @@ def test_enumerate_orbits_too_deep_exits_2(capsys):
     assert captured.err == "error: input too large: maximum recursion depth exceeded\n"
 
 
+def test_enumerate_orbits_out_of_memory_exits_2(monkeypatch, capsys):
+    def exhausted(n, ell):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "enumerate_orbit_labels", exhausted)
+    assert main(["enumerate-orbits", "--n", "50", "--ell", "50"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: input too large\n")
+
+
 def test_enumerate_orbits_bad_row_exits_1(monkeypatch, capsys):
     stray = OrbitLabel(Partition([2]), Multipartition((Partition(),)))
 

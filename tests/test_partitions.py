@@ -206,6 +206,14 @@ def test_bipartition_enumeration():
         assert len(bps) == expected
         assert len(set((b.first.parts, b.second.parts) for b in bps)) == expected
     assert len(enumerate_bipartitions(3)) == 10
+    # the documented order: first component sizes run from n down to 0;
+    # within one size the first component is lex decreasing, then the second
+    for n in range(9):
+        got = [(b.first.size, b.first.parts, b.second.parts) for b in enumerate_bipartitions(n)]
+        assert got == sorted(got, reverse=True)
+    assert [str(b) for b in enumerate_bipartitions(2)] == [
+        "([2];[])", "([1,1];[])", "([1];[1])", "([];[2])", "([];[1,1])",
+    ]
 
 
 def test_multipartition_enumeration():
