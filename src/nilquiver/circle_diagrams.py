@@ -96,7 +96,9 @@ class FrobeniusCircleDiagram(_Diagram):
     Valid diagrams have strictly decreasing mark offsets and strictly
     decreasing follower counts once sorted by length; violating either
     strictness means the diagram corresponds to no partition and is
-    rejected.
+    rejected.  The constructor sorts and checks the circles; ``_built``
+    takes the hooks of a validated partition without checking them again
+    (see :func:`frobenius_diagram_of_partition`).
     """
 
     ell: int
@@ -122,6 +124,16 @@ class FrobeniusCircleDiagram(_Diagram):
                     "not a Frobenius diagram: mark offsets and follower counts "
                     "must both be strictly decreasing"
                 )
+
+    @classmethod
+    def _built(cls, ell: int, circles: tuple[tuple[int, int], ...]) -> "FrobeniusCircleDiagram":
+        """A diagram of circles computed here from Frobenius coordinates,
+        already sorted longest first with strictly decreasing mark offsets
+        and follower counts, taken without sorting or checking them again."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "ell", ell)
+        object.__setattr__(d, "circles", circles)
+        return d
 
     def chains(self) -> tuple[tuple[int, int, int], ...]:
         """(start, length, mark) per circle, longest first; the start is
@@ -220,10 +232,15 @@ def diagram_of_coloured_partition(lam: Partition, colours, ell: int) -> CircleDi
 
 def frobenius_diagram_of_partition(lam: Partition, ell: int) -> FrobeniusCircleDiagram:
     """The marked diagram of a partition: hook i gives a circle of the hook's
-    size marked at offset arms[i] (so it starts in block -arms[i] mod ell)."""
+    size marked at offset arms[i] (so it starts in block -arms[i] mod ell).
+
+    Legs and arms of a partition both decrease strictly, so the hooks come
+    sorted and valid, and the diagram is built without checking them again."""
+    if ell < 1:
+        raise ValueError("ell must be positive")
     f = lam.frobenius()
     circles = tuple((legs + arms + 1, arms) for legs, arms in zip(f.legs, f.arms))
-    return FrobeniusCircleDiagram(ell, circles)
+    return FrobeniusCircleDiagram._built(ell, circles)
 
 
 def bounded_circle_diagrams(
@@ -244,8 +261,10 @@ def bounded_circle_diagrams(
     """
     if d.ell != ell:
         raise ValueError("dimension vector has the wrong cycle length")
-    fills = chain_fills(ell, d.total if max_length is None else max_length)(d.main, 0)
-    diagrams = [CircleDiagram.from_multipartition(Multipartition(fill)) for fill in fills]
+    _, fills = chain_fills(ell, d.total if max_length is None else max_length)
+    diagrams = [
+        CircleDiagram.from_multipartition(Multipartition(fill)) for fill in fills(d.main, 0)
+    ]
     if max_zero_hits is not None:
         diagrams = [
             c for c in diagrams if all(chain_allowed(s, p, ell, max_zero_hits) for s, p in c.circles)

@@ -9,6 +9,15 @@ Conventions used throughout the package:
   row i and column j; the content of the box is j - i;
 * Frobenius coordinates are stored 0-indexed: the (i+1)-st diagonal box has
   ``legs[i]`` boxes below it and ``arms[i]`` boxes to its right.
+
+Where values are checked: the public constructors of :class:`Partition`
+and :class:`FrobeniusPartition` coerce and validate their fields, so data
+from outside the program (JSON, CLI text, user lists) always goes through
+them.  A value computed from one that was already validated (a transpose,
+Frobenius coordinates, the chain lengths of the fill search, the hooks of
+a marked diagram in ``circle_diagrams``) is built by a private ``_built``
+constructor instead, which stores fields that are valid by construction
+without checking them again.
 """
 
 from __future__ import annotations
@@ -39,6 +48,9 @@ class Partition:
     Indexing is 0-based and total: ``p[i]`` returns 0 for ``i >= len(p)``,
     which keeps row arithmetic (padding, componentwise sums) free of bounds
     fiddling.
+
+    The constructor coerces and checks its parts; ``_built`` takes a tuple
+    that is already a valid partition (derived from validated values).
     """
 
     __slots__ = ("parts",)
@@ -53,6 +65,14 @@ class Partition:
         if parts and parts[-1] < 0:
             raise ValueError(f"negative part in {parts}")
         self.parts = parts
+
+    @classmethod
+    def _built(cls, parts: tuple[int, ...]) -> "Partition":
+        """A partition of parts computed here as a weakly decreasing tuple of
+        positive ints, taken without coercing or checking them again."""
+        p = cls.__new__(cls)
+        p.parts = parts
+        return p
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -101,13 +121,15 @@ class Partition:
         return sum(self.parts)
 
     def transpose(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for part in self.parts:
-            for j in range(part):
-                cols[j] += 1
-        return Partition(cols)
+        parts = self.parts
+        rows = len(parts)
+        cols = []
+        # column j holds one box per part longer than j
+        for j in range(parts[0] if parts else 0):
+            while parts[rows - 1] <= j:
+                rows -= 1
+            cols.append(rows)
+        return Partition._built(tuple(cols))
 
     def diagonal_length(self) -> int:
         """Number of boxes on the main diagonal."""
@@ -116,9 +138,9 @@ class Partition:
     def frobenius(self) -> "FrobeniusPartition":
         t = self.transpose()
         k = self.diagonal_length()
-        legs = tuple(t[i] - (i + 1) for i in range(k))
-        arms = tuple(self[i] - (i + 1) for i in range(k))
-        return FrobeniusPartition(legs, arms)
+        legs = tuple(t.parts[i] - (i + 1) for i in range(k))
+        arms = tuple(self.parts[i] - (i + 1) for i in range(k))
+        return FrobeniusPartition._built(legs, arms)
 
     def weight(self, ell: int) -> int:
         """Number of boxes of content divisible by ell in the first hook.
@@ -141,6 +163,9 @@ class FrobeniusPartition:
     ``arms[i]`` the boxes to its right; hook i therefore has
     ``legs[i] + arms[i] + 1`` boxes with contents running from ``-legs[i]``
     up to ``arms[i]``.
+
+    The constructor coerces and checks the coordinates; ``_built`` takes
+    the coordinates of a validated partition without checking them again.
     """
 
     legs: tuple[int, ...]
@@ -158,6 +183,16 @@ class FrobeniusPartition:
                 raise ValueError(f"negative Frobenius coordinate in {seq}")
             if any(a <= b for a, b in zip(seq, seq[1:])):
                 raise ValueError(f"coordinates not strictly decreasing: {seq}")
+
+    @classmethod
+    def _built(cls, legs: tuple[int, ...], arms: tuple[int, ...]) -> "FrobeniusPartition":
+        """Coordinates computed here from a valid partition (tuples of ints
+        of equal length, nonnegative and strictly decreasing), taken without
+        coercing or checking them again."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "legs", legs)
+        object.__setattr__(f, "arms", arms)
+        return f
 
     def __len__(self) -> int:
         return len(self.legs)

@@ -23,6 +23,7 @@ Young diagram.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import count
 
@@ -220,10 +221,14 @@ def chain_fillable(remaining: tuple[int, ...], vertex: int) -> bool:
 
 
 def chain_fills(ell: int, cap: int, max_count: int = DEFAULT_ENUMERATION_CAP):
-    """The fill search: ``fills(remaining, vertex)`` lists every fill of the
-    nonnegative vector remaining by chains of length at most cap starting at
-    the vertices vertex, ..., ell-1, as one partition of chain lengths per
-    vertex, largest lengths tuple first.
+    """The fill search, as the pair of memoized functions ``(tally, fills)``.
+
+    ``fills(remaining, vertex)`` lists every fill of the nonnegative vector
+    remaining by chains of length at most cap starting at the vertices
+    vertex, ..., ell-1, as one partition of chain lengths per vertex,
+    largest lengths tuple first.  ``tally(remaining, vertex)`` is the
+    number of those fills, or ``max_count + 1`` when there are more than
+    ``max_count`` of them.
 
     A chain of length N at vertex v occupies run_vector(v, N, ell).  The
     search only ever enters a remainder that :func:`chain_fillable` accepts:
@@ -235,52 +240,77 @@ def chain_fills(ell: int, cap: int, max_count: int = DEFAULT_ENUMERATION_CAP):
     copies of one length are taken in one loop, so the search nests once
     per distinct length, never once per chain.
 
-    The fills from vertex 1 onward are memoized per (remainder, vertex), and
-    each distinct chain-length tuple becomes one shared ``Partition``.  A
-    fill list longer than ``max_count`` raises ``ValueError``.
+    Each state (remainder, vertex) lists its choices, pairs (chain lengths
+    at the vertex as one shared ``Partition``, rest), once.  The count
+    comes first: ``tally`` sums the counts of the rests over those choices,
+    memoized per state and stopped at ``max_count + 1``, so it never lists
+    a fill.  ``fills`` raises ``ValueError`` from the state's count before
+    it builds a list longer than ``max_count``, and then builds the list
+    from the same choices, memoized per state from vertex 1 onward.
     """
-    tails: dict[tuple[tuple[int, ...], int], list[tuple[Partition, ...]]] = {
-        ((0,) * ell, ell): [()]
-    }
+    done = ((0,) * ell, ell)
+    choice_lists: dict[tuple[tuple[int, ...], int], list[tuple[Partition, tuple[int, ...]]]] = {}
+    counts: dict[tuple[tuple[int, ...], int], int] = {done: 1}
+    tails: dict[tuple[tuple[int, ...], int], list[tuple[Partition, ...]]] = {done: [()]}
     partitions: dict[tuple[int, ...], Partition] = {}
+    runs: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def partition(lengths: tuple[int, ...]) -> Partition:
-        found = partitions.get(lengths)
-        if found is None:
-            found = partitions[lengths] = Partition(lengths)
-        return found
-
-    def choices(vertex: int, remaining: tuple[int, ...], total: int, cap: int, acc: tuple[int, ...]):
-        """Yield (lengths, rest) for every chain multiset at vertex with
+    def collect(vertex, remaining, total, cap, acc, out) -> None:
+        """Append (lengths, rest) for every chain multiset at vertex with
         lengths at most cap that leaves a rest fillable from vertex + 1,
         largest lengths first and acc itself last."""
         for length in range(min(cap, total), 0, -1):
-            step = run_vector(vertex, length, ell)
+            step = runs.get((vertex, length))
+            if step is None:
+                step = runs[(vertex, length)] = run_vector(vertex, length, ell)
             rests = [remaining]  # rests[k]: the remainder after k copies
-            while min(rest := tuple(r - c for r, c in zip(rests[-1], step))) >= 0:
+            while min(rest := tuple(map(operator.sub, rests[-1], step))) >= 0:
                 if not chain_fillable(rest, vertex):
                     break
                 rests.append(rest)
             for k in range(len(rests) - 1, 0, -1):
-                yield from choices(vertex, rests[k], total - k * length, length - 1, acc + (length,) * k)
+                collect(vertex, rests[k], total - k * length, length - 1, acc + (length,) * k, out)
         if chain_fillable(remaining, vertex + 1):
-            yield acc, remaining
+            lengths = partitions.get(acc)
+            if lengths is None:
+                # acc is weakly decreasing and positive by construction
+                lengths = partitions[acc] = Partition._built(acc)
+            out.append((lengths, remaining))
+
+    def choices(remaining: tuple[int, ...], vertex: int):
+        found = choice_lists.get((remaining, vertex))
+        if found is None:
+            found = choice_lists[(remaining, vertex)] = []
+            collect(vertex, remaining, sum(remaining), cap, (), found)
+        return found
+
+    def tally(remaining: tuple[int, ...], vertex: int) -> int:
+        found = counts.get((remaining, vertex))
+        if found is None:
+            found = 0
+            for _, rest in choices(remaining, vertex):
+                found += tally(rest, vertex + 1)
+                if found > max_count:
+                    found = max_count + 1
+                    break
+            counts[(remaining, vertex)] = found
+        return found
 
     def fills(remaining: tuple[int, ...], vertex: int) -> list[tuple[Partition, ...]]:
         found = tails.get((remaining, vertex))
         if found is None:
+            if tally(remaining, vertex) > max_count:
+                raise ValueError(f"enumeration exceeds the cap of {max_count}")
             found = []
-            for lengths, rest in choices(vertex, remaining, sum(remaining), cap, ()):
-                head = (partition(lengths),)
+            for lengths, rest in choices(remaining, vertex):
+                head = (lengths,)
                 found.extend([head + tail for tail in fills(rest, vertex + 1)])
-                if len(found) > max_count:
-                    raise ValueError(f"enumeration exceeds the cap of {max_count}")
             # a caller keeps the vertex-0 fills it needs again
             if vertex:
                 tails[(remaining, vertex)] = found
         return found
 
-    return fills
+    return tally, fills
 
 
 def _admissible_partitions(n: int, ell: int):
@@ -325,27 +355,35 @@ def enumerate_orbit_labels(
     deficit's list of multipartitions is built once and shared, as the same
     objects, by all partitions that leave it.
 
-    ``ValueError`` is raised exactly when the cone has more than
-    ``max_count`` labels (a cone of ``max_count`` labels is returned
-    whole).  It fires as soon as the output would pass the cap, or as soon
-    as one fill list passes it: a fill list is only built for a remainder
-    some label's prefix reaches, and each of its entries completes that
-    prefix to a different label.  Chains of length 1 fill any deficit, so
-    every admissible partition adds at least one label, and the walk stops
-    within ``max_count + 1`` partitions too.
+    The labels are counted before any is listed: the walk sums the fill
+    counts of the deficits (memoized, and stopped past the cap, by
+    ``chain_fills``) and raises ``ValueError`` as soon as the sum passes
+    ``max_count``.  So the error is raised exactly when the cone has more
+    than ``max_count`` labels (a cone of ``max_count`` labels is returned
+    whole), and before a single label is built.  Chains of length 1 fill
+    any deficit, so every admissible partition adds at least one label, and
+    the walk stops within ``max_count + 1`` partitions too.  The listing
+    then reads the same memoized choices, so a cone under the cap is
+    searched once.
     """
     if n < 0 or ell < 1:
         raise ValueError("need n >= 0 and ell >= 1")
-    fills = chain_fills(ell, n * ell, max_count)
+    tally, fills = chain_fills(ell, n * ell, max_count)
+    walk = []
+    total = 0
+    for parts, deficit in _admissible_partitions(n, ell):
+        total += tally(deficit, 0)
+        if total > max_count:
+            raise ValueError(f"enumeration exceeds the cap of {max_count}")
+        walk.append((parts, deficit))
     shared: dict[tuple[int, ...], list[Multipartition]] = {}
     out: list[OrbitLabel] = []
-    for parts, deficit in _admissible_partitions(n, ell):
+    for parts, deficit in walk:
         nus = shared.get(deficit)
         if nus is None:
             nus = shared[deficit] = [Multipartition(fill) for fill in fills(deficit, 0)]
-        if len(out) + len(nus) > max_count:
-            raise ValueError(f"enumeration exceeds the cap of {max_count}")
-        lam = Partition(parts)
+        # the walk yields weakly decreasing tuples of positive parts
+        lam = Partition._built(parts)
         out.extend([OrbitLabel(lam, nu) for nu in nus])
     return out
 

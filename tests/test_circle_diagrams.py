@@ -5,6 +5,7 @@ from nilquiver import (
     CircleDiagram,
     DimensionVector,
     FrobeniusCircleDiagram,
+    FrobeniusPartition,
     Partition,
     bounded_circle_diagrams,
     column_residue,
@@ -78,6 +79,31 @@ def test_frobenius_diagram_construction():
     assert d.starts() == (0, 1, 0)
     d = frobenius_diagram_of_partition(Partition([1]), 5)
     assert d.circles == ((1, 0),) and d.starts() == (0,)
+
+
+def test_derived_values_equal_the_validated_ones():
+    # transpose, Frobenius coordinates and marked diagram are built without
+    # re-validation; each must equal, field by field, with == and by hash,
+    # what the checking public constructor makes of the same fields
+    def same(direct, checked, fields):
+        for field in fields:
+            value = getattr(direct, field)
+            assert value == getattr(checked, field)
+            assert type(value) is type(getattr(checked, field))
+        assert direct == checked and hash(direct) == hash(checked)
+
+    for size in range(13):
+        for lam in enumerate_partitions(size):
+            t = lam.transpose()
+            same(t, Partition(t.parts), ["parts"])
+            assert all(type(x) is int for x in t.parts)
+            f = lam.frobenius()
+            same(f, FrobeniusPartition(f.legs, f.arms), ["legs", "arms"])
+            assert all(type(x) is int for x in f.legs + f.arms)
+            for ell in range(1, 5):
+                d = frobenius_diagram_of_partition(lam, ell)
+                same(d, FrobeniusCircleDiagram(ell, d.circles), ["ell", "circles"])
+                assert d.partition() == lam
 
 
 def test_frobenius_diagram_of_reference_shape():

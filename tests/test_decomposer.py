@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -258,8 +259,6 @@ def test_label_fingerprint_matches_linear_algebra():
 def test_label_fingerprint_separates_candidates():
     # for each chain multiset of the cone, the candidates the oracle
     # enumerates must have pairwise distinct fingerprints
-    from collections import Counter
-
     from nilquiver.rep_builder import label_chains
 
     for ell, n in [(1, 10), (1, 14), (2, 5), (2, 6), (3, 4), (4, 3), (5, 2)]:
@@ -354,6 +353,15 @@ def test_label_of_chains_inverts_the_invariants():
         for label in enumerate_orbit_labels(n, ell):
             plain, quotient = _label_invariants(label)
             assert _label_of_chains(ell, plain, quotient) == label
+
+
+def test_label_of_chains_rejects_chains_that_fit_no_partition():
+    # the checking FrobeniusPartition constructor is the certificate here:
+    # two framed chains of length 2 and one glued chain of length 1 at
+    # ell = 1 pair to the arm -1
+    plain, quotient = Counter({(0, 2): 2}), Counter({(0, 1): 1})
+    with pytest.raises(AssertionError, match="fit no partition"):
+        _label_of_chains(1, plain, quotient)
 
 
 def test_decompose_agrees_with_the_fingerprint_oracle():

@@ -26,6 +26,7 @@ from nilquiver import (
     shifted_residue,
     zero_hits,
 )
+from nilquiver import residues
 from nilquiver.residues import chain_fillable
 
 
@@ -198,6 +199,40 @@ def test_enumerate_orbit_labels_cap():
     with pytest.raises(ValueError, match="cap of 1000"):
         enumerate_orbit_labels(2, 12, max_count=1000)
     assert time.perf_counter() - start < 5.0
+
+
+def test_enumerate_orbit_labels_counts_before_listing(monkeypatch):
+    # the cap error of an oversized cone comes from counting the labels, not
+    # from listing them: not one OrbitLabel is built before it is raised
+    built = []
+
+    class CountedLabel(OrbitLabel):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(residues, "OrbitLabel", CountedLabel)
+    assert len(enumerate_orbit_labels(2, 2)) == len(built) == 28
+    built.clear()
+    with pytest.raises(ValueError, match="cap of 1000000$"):
+        enumerate_orbit_labels(1, 20)
+    assert built == []
+
+
+def test_chain_fills_share_valid_partitions():
+    # the chain-length partitions the fill search builds without checks,
+    # and the partitions the admissible walk yields, on the cones the
+    # benchmark enumerates, equal the validated partitions of their parts
+    for ell, n in [(1, 8), (2, 4), (3, 3), (4, 2)]:
+        labels = enumerate_orbit_labels(n, ell)
+        partitions = {id(p): p for label in labels for p in (label.lam, *label.nu)}
+        for p in partitions.values():
+            assert type(p.parts) is tuple
+            assert all(type(x) is int for x in p.parts)
+            assert p == Partition(p.parts) and hash(p) == hash(Partition(p.parts))
+            assert Partition(p.parts).parts == p.parts
 
 
 def test_chain_fillable_matches_the_direct_search():
