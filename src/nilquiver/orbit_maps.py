@@ -29,14 +29,8 @@ from .circle_diagrams import (
     FrobeniusCircleDiagram,
     frobenius_diagram_of_partition,
 )
-from .partitions import (
-    DEFAULT_ENUMERATION_CAP,
-    Multipartition,
-    Partition,
-    enumerate_partitions,
-    json_ints,
-)
-from .residues import DimensionVector, OrbitLabel, run_vector, runs_vector
+from .partitions import DEFAULT_ENUMERATION_CAP, Multipartition, Partition, json_ints
+from .residues import DimensionVector, OrbitLabel, chain_fills, runs_vector
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +183,8 @@ def striped_to_diagrams(
         raise AssertionError(f"surviving rows are not Frobenius: {exc}") from exc
     circ = CircleDiagram(s.ell, tuple(plain))
     total = frob.dimension_vector() + circ.dimension_vector()
-    assert total == s.signature(), "diagram dimensions must add up to the signature"
+    if total != s.signature():
+        raise AssertionError("diagram dimensions must add up to the signature")
     return frob, circ
 
 
@@ -296,60 +291,53 @@ def _marking_choices(length: int, colour: int, ell: int) -> list[int]:
 def enumerate_striped(
     ell: int, xi: DimensionVector, max_count: int = DEFAULT_ENUMERATION_CAP
 ) -> list[StripedBipartition]:
-    """All striped bipartitions with the given signature.
+    """All striped bipartitions with the given signature, sorted by
+    (lam, epsilon, nu).
 
-    Rows are generated in weakly decreasing length order, and rows of
-    equal length in non-decreasing (colour, marking) order, so each row
-    multiset (one object) is emitted exactly once.
+    The coloured rows of a striped bipartition are a multiset of chains,
+    colour = start vertex, that fills the signature, so they come from the
+    fill search :func:`residues.chain_fills` shared with the orbit labels.
+    Each fill's rows are sorted longest first, then by colour; rows of
+    equal length and colour take non-decreasing markings, and each new row
+    is checked against the striped ordering, so each object is emitted
+    exactly once.
+
+    ``ValueError`` is raised exactly when there are more than ``max_count``
+    of them.  Every fill admits the all-unmarked rows: each nu_i is the
+    value in (-ell, 0] that puts the mark in block 0, and for i < j then
+    nu_j <= 0 < nu_i + ell and mu_j < lam_j + ell <= mu_i + ell.  So a
+    signature with more than ``max_count`` fills, where the fill search
+    raises, has more than ``max_count`` striped bipartitions too, and the
+    marking search raises as soon as its output passes the cap.
     """
     if xi.ell != ell:
         raise ValueError("signature has the wrong cycle length")
-    total = xi.total
+    _, fills = chain_fills(ell, xi.total, max_count)
     out: list[StripedBipartition] = []
-
-    def colourings(parts: tuple[int, ...]):
-        counts = [0] * ell
-
-        def rec(i: int, acc: tuple[int, ...]):
-            if i == len(parts):
-                if tuple(counts) == xi.main:
-                    yield acc
-                return
-            first = acc[-1] if i and parts[i - 1] == parts[i] else 0
-            for colour in range(first, ell):
-                rv = run_vector(colour, parts[i], ell)
-                if all(c + r <= t for c, r, t in zip(counts, rv, xi.main)):
-                    for j in range(ell):
-                        counts[j] += rv[j]
-                    yield from rec(i + 1, acc + (colour,))
-                    for j in range(ell):
-                        counts[j] -= rv[j]
-
-        yield from rec(0, ())
-
-    for lam in enumerate_partitions(total, max_count):
+    for fill in fills(xi.main, 0):
+        rows = sorted(
+            ((length, colour) for colour, lengths in enumerate(fill) for length in lengths),
+            key=lambda r: (-r[0], r[1]),
+        )
+        lam = Partition(length for length, _ in rows)
         parts = lam.parts
-        for eps in colourings(parts):
-            options = [_marking_choices(p, e, ell) for p, e in zip(parts, eps)]
+        eps = tuple(colour for _, colour in rows)
+        options = [_marking_choices(p, e, ell) for p, e in rows]
 
-            def assign(i: int, acc: tuple[int, ...]):
-                if i == len(parts):
-                    out.append(StripedBipartition(ell, lam, eps, acc))
-                    if len(out) > max_count:
-                        raise ValueError(f"enumeration exceeds the cap of {max_count}")
-                    return
-                low = acc[-1] if i and (parts[i - 1], eps[i - 1]) == (parts[i], eps[i]) else -ell
-                for value in (v for v in options[i] if v >= low):
-                    ok = True
-                    for j in range(i):
-                        mu_j = parts[j] - acc[j]
-                        mu_i = parts[i] - value
-                        if not (value < acc[j] + ell and mu_i < mu_j + ell):
-                            ok = False
-                            break
-                    if ok:
-                        assign(i + 1, acc + (value,))
+        def assign(i: int, acc: tuple[int, ...]):
+            if i == len(parts):
+                out.append(StripedBipartition(ell, lam, eps, acc))
+                if len(out) > max_count:
+                    raise ValueError(f"enumeration exceeds the cap of {max_count}")
+                return
+            low = acc[-1] if i and rows[i - 1] == rows[i] else -ell
+            for value in (v for v in options[i] if v >= low):
+                mu_i = parts[i] - value
+                if all(
+                    value < acc[j] + ell and mu_i < parts[j] - acc[j] + ell for j in range(i)
+                ):
+                    assign(i + 1, acc + (value,))
 
-            assign(0, ())
+        assign(0, ())
     out.sort(key=lambda s: (s.lam.parts, s.epsilon, s.nu))
     return out

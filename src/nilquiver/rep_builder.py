@@ -179,7 +179,8 @@ def _assemble(ell: int, chains: list[tuple[int, int, int | None]], framed: bool)
         fv = [Fraction(0)] * counts[0]
         for c, (start, length, mark) in enumerate(chains):
             if mark is not None:
-                assert (start + mark) % ell == 0, "marked vertex must sit in block 0"
+                if (start + mark) % ell:
+                    raise AssertionError("marked vertex must sit in block 0")
                 fv[position[(c, mark)]] += 1
         dims = DimensionVector(1, tuple(counts))
         return QuiverRep(ell, dims, maps, tuple(fv))
@@ -205,7 +206,8 @@ def build_framed(lam: Partition, ell: int) -> QuiverRep:
     space with framing dimension one and zero framing vector.
     """
     rep = build_label_rep(OrbitLabel(lam, Multipartition.empty(ell)))
-    assert rep.dims == dim_framed(lam, ell), "chain dimensions must match the residue count"
+    if rep.dims != dim_framed(lam, ell):
+        raise AssertionError("chain dimensions must match the residue count")
     return rep
 
 

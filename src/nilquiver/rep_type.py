@@ -119,7 +119,8 @@ def wildness_witness(
     framing_rows, main, framing = _WITNESS_TABLE[min(ell, 5)]
     window = CoveringWindow(ell, x, len(main), framing_rows)
     value = tits_form(window, main, framing)
-    assert value <= -1, "stored wildness certificate failed to evaluate"
+    if value > -1:
+        raise AssertionError("stored wildness certificate failed to evaluate")
     return window, main, framing
 
 
@@ -176,15 +177,12 @@ def search_windows(ell: int, x: int, max_rows: int, max_entry: int) -> int:
     All 0-lift alignments are tried.  Used as a bounded sanity check that
     finite and tame pairs admit no negative vector at small scale.
     """
-    best: int | None = None
-    for rows in range(1, max_rows + 1):
-        for offset in range(1, ell + 1):
-            framing_rows = tuple(r for r in range(offset, rows + 1, ell))
-            if not framing_rows:
-                continue
-            window = CoveringWindow(ell, x, rows, framing_rows)
-            value = min_tits_over_box(window, max_entry)
-            if best is None or value < best:
-                best = value
-    assert best is not None
-    return best
+    if ell < 1 or max_rows < 1:
+        raise ValueError("ell and max_rows must be positive")
+    # offset <= rows keeps at least one framing row in the window
+    windows = (
+        CoveringWindow(ell, x, rows, tuple(range(offset, rows + 1, ell)))
+        for rows in range(1, max_rows + 1)
+        for offset in range(1, min(ell, rows) + 1)
+    )
+    return min(min_tits_over_box(window, max_entry) for window in windows)

@@ -1,5 +1,5 @@
-"""The direct orbit-label search and per-label row rendering, kept as test
-oracles.
+"""The direct orbit-label and striped-bipartition searches and per-label
+row rendering, kept as test oracles.
 
 ``residues.enumerate_orbit_labels`` walks only the admissible partitions,
 in output order; it enters only chain remainders that
@@ -13,14 +13,22 @@ every chain choice (dead ends included) and sorts the labels at the end,
 and a renderer that recomputes every row from its label alone.
 ``fill_with_chains`` is also the brute-force check of the fillability
 criterion.
+
+``orbit_maps.enumerate_striped`` reads the coloured rows of a striped
+bipartition off the same chain-fill search, ``residues.chain_fills``.
+``striped_bipartitions`` is the search it replaced: it walks every
+partition of the signature's total and colours the rows of each one by
+its own recursion, with no cap.
 """
 
 from __future__ import annotations
 
 from nilquiver import (
+    DimensionVector,
     Multipartition,
     OrbitLabel,
     Partition,
+    StripedBipartition,
     column_residue,
     delta,
     enumerate_partitions,
@@ -89,3 +97,62 @@ def enumerate_rows(labels: list[OrbitLabel], n: int, ell: int, x: int | None = N
         lines.append(f"label={lbl}  marked=[{marked}]  plain=[{plain}]  dims={dv}  [{check}]\n")
     lines.append(f"total: {len(labels)}\n")
     return "".join(lines)
+
+
+def striped_bipartitions(ell: int, xi: DimensionVector) -> list[StripedBipartition]:
+    """Every striped bipartition of signature xi, sorted by (lam, epsilon,
+    nu): every partition of the total, every colouring of its rows that
+    fills xi (colours non-decreasing along rows of equal length), and every
+    marking (non-decreasing along rows of equal length and colour) that
+    passes the striped ordering."""
+    out: list[StripedBipartition] = []
+
+    def colourings(parts: tuple[int, ...]):
+        counts = [0] * ell
+
+        def rec(i: int, acc: tuple[int, ...]):
+            if i == len(parts):
+                if tuple(counts) == xi.main:
+                    yield acc
+                return
+            first = acc[-1] if i and parts[i - 1] == parts[i] else 0
+            for colour in range(first, ell):
+                rv = run_vector(colour, parts[i], ell)
+                if all(c + r <= t for c, r, t in zip(counts, rv, xi.main)):
+                    for j in range(ell):
+                        counts[j] += rv[j]
+                    yield from rec(i + 1, acc + (colour,))
+                    for j in range(ell):
+                        counts[j] -= rv[j]
+
+        yield from rec(0, ())
+
+    def markings(length: int, colour: int) -> list[int]:
+        # nu <= length, nu > -ell, and the mark lands in block 0
+        first = -ell + 1 + (length + colour + ell - 1) % ell
+        return list(range(first, length + 1, ell))
+
+    for lam in enumerate_partitions(xi.total):
+        parts = lam.parts
+        for eps in colourings(parts):
+            options = [markings(p, e) for p, e in zip(parts, eps)]
+
+            def assign(i: int, acc: tuple[int, ...]):
+                if i == len(parts):
+                    out.append(StripedBipartition(ell, lam, eps, acc))
+                    return
+                low = acc[-1] if i and (parts[i - 1], eps[i - 1]) == (parts[i], eps[i]) else -ell
+                for value in (v for v in options[i] if v >= low):
+                    ok = True
+                    for j in range(i):
+                        mu_j = parts[j] - acc[j]
+                        mu_i = parts[i] - value
+                        if not (value < acc[j] + ell and mu_i < mu_j + ell):
+                            ok = False
+                            break
+                    if ok:
+                        assign(i + 1, acc + (value,))
+
+            assign(0, ())
+    out.sort(key=lambda s: (s.lam.parts, s.epsilon, s.nu))
+    return out

@@ -1,8 +1,9 @@
 import itertools
 import json
+import time
 
 import pytest
-from enumeration_oracle import fill_with_chains
+from enumeration_oracle import fill_with_chains, striped_bipartitions
 from removal_oracle import bipartition_to_label as greedy_label
 from removal_oracle import removable_rows
 
@@ -207,6 +208,44 @@ def test_enumerate_striped_counts():
         striped = enumerate_striped(ell, delta(ell, n))
         labels = enumerate_orbit_labels(n, ell)
         assert len(striped) == len(labels)
+
+
+def test_enumerate_striped_matches_the_partition_walk():
+    # the oracle walks every partition of the total and colours its rows
+    signatures = [
+        (ell, main)
+        for ell, top in [(1, 3), (2, 3), (3, 3), (4, 2)]
+        for main in itertools.product(range(top + 1), repeat=ell)
+    ]
+    signatures += [(ell, (n,) * ell) for ell, n in [(4, 3), (3, 4), (5, 2), (6, 2)]]
+    for ell, main in signatures:
+        xi = DimensionVector(0, main)
+        assert enumerate_striped(ell, xi) == striped_bipartitions(ell, xi), (ell, main)
+
+
+@pytest.mark.parametrize("ell,n", [(1, 3), (2, 2), (3, 2), (4, 1), (2, 3)])
+def test_enumerate_striped_cap_bounds_the_output(ell, n):
+    everything = enumerate_striped(ell, delta(ell, n))
+    assert enumerate_striped(ell, delta(ell, n), max_count=len(everything)) == everything
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        enumerate_striped(ell, delta(ell, n), max_count=len(everything) - 1)
+
+
+def test_enumerate_striped_cap_counts_bipartitions_not_partitions():
+    # three rows of length 1 at vertex 0: all unmarked or all marked
+    found = enumerate_striped(2, DimensionVector(0, (3, 0)), max_count=2)
+    assert [s.nu for s in found] == [(-1, -1, -1), (1, 1, 1)]
+
+
+def test_enumerate_striped_skips_the_partitions_of_the_total():
+    # 61 rows of length 1 at vertex 0: still 2 bipartitions, though 61 has
+    # 1,121,505 partitions
+    start = time.perf_counter()
+    found = enumerate_striped(2, DimensionVector(0, (61, 0)))
+    assert time.perf_counter() - start < 1
+    assert [s.nu for s in found] == [(-1,) * 61, (1,) * 61]
+    with pytest.raises(ValueError, match="exceeds the cap of 0"):
+        enumerate_striped(2, DimensionVector(0, (61, 0)), max_count=0)
 
 
 def test_striped_label_is_a_bijection_at_fixed_signature():

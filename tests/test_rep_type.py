@@ -163,3 +163,9 @@ def test_bounded_search_sanity_on_finite_and_tame_pairs():
     # tame pairs reach 0 but not below at small scale
     assert search_windows(2, 2, max_rows=12, max_entry=3) == 0
     assert search_windows(4, 1, max_rows=10, max_entry=3) >= 0
+
+
+@pytest.mark.parametrize("ell,max_rows", [(1, 0), (2, -1), (0, 3)])
+def test_search_windows_rejects_an_empty_search(ell, max_rows):
+    with pytest.raises(ValueError, match="must be positive"):
+        search_windows(ell, 1, max_rows=max_rows, max_entry=1)
