@@ -4,7 +4,9 @@ Run with:  python3 demos/01_partitions_and_diagrams.py
 """
 
 from nilquiver import (
+    DimensionVector,
     Partition,
+    bounded_circle_diagrams,
     frobenius_diagram_of_partition,
     to_ascii,
 )
@@ -32,3 +34,14 @@ print(f"marked circle diagram of {lam} at ell={ell}:")
 print(to_ascii(diagram))
 print(f"diagram weight: {diagram.weight()} (= partition weight {lam.weight(ell)})")
 print(f"back to the partition: {diagram.partition()}")
+print()
+
+# unmarked diagrams with a given dimension vector are tilings by circles;
+# bounding each circle to one pass through block 0 keeps those of an
+# algebra whose cycle has nilpotency degree x = 1
+d = DimensionVector(0, (2, 1, 1))
+print(f"unmarked diagrams of {d} at ell={ell}: {len(bounded_circle_diagrams(ell, d))}")
+bounded = bounded_circle_diagrams(ell, d, max_zero_hits=1)
+print(f"those whose circles pass block 0 at most once: {len(bounded)}")
+for tiling in bounded:
+    print(f"  {tiling}")

@@ -20,10 +20,13 @@ from nilquiver import (
     build_chain,
     build_framed,
     build_label_rep,
+    conjugate,
     decompose_enhanced,
     direct_sum,
+    isomorphic,
     random_base_change,
 )
+from nilquiver.linalg import RationalMatrix
 
 # assemble a representation summand by summand
 rep = direct_sum(build_framed(Partition([4, 2]), 1), build_chain(0, 3, 1))
@@ -42,6 +45,25 @@ rng = random.Random(1)
 moved = random_base_change(rep, rng)
 print("original label:   ", label)
 print("after base change:", decompose_enhanced(moved).label())
+print("same orbit:       ", isomorphic(rep, moved))
+print()
+
+# the orbit is the GL(V) action: a base change g_i at every vertex sends
+# each arrow M_i to g_{i+1} M_i g_i^-1 and v to g_0 v; here a shear at
+# vertex 0 (dimension 2) and the identity elsewhere
+g = [RationalMatrix(((1, 1), (0, 1)), 2)] + [RationalMatrix.identity(d) for d in rep.dims.main[1:]]
+sheared = conjugate(rep, g)
+print("after a shear at vertex 0:", decompose_enhanced(sheared).label())
+print("same orbit:               ", isomorphic(rep, sheared))
+
+# a label of the same dimension vector names a different orbit
+other = build_label_rep(
+    OrbitLabel(
+        Partition([2, 1]),
+        Multipartition((Partition([1]), Partition([1, 1, 1]), Partition())),
+    )
+)
+print(f"dims {rep.dims} and {other.dims}, same orbit:", isomorphic(rep, other))
 print()
 
 # the arrow matrices of the conjugated representation are dense rationals

@@ -23,10 +23,8 @@ from .partitions import (
 from .residues import (
     DimensionVector,
     OrbitLabel,
-    chain_allowed,
     column_residue,
     delta,
-    dim_chain,
     dim_framed,
     ell_quotient_core,
     enumerate_orbit_labels,
@@ -42,7 +40,6 @@ from .circle_diagrams import (
     FrobeniusCircleDiagram,
     bounded_circle_diagrams,
     diagram_from_json,
-    diagram_of_coloured_partition,
     frobenius_diagram_of_partition,
     to_ascii,
     to_dot,
@@ -76,7 +73,6 @@ from .rep_builder import (
 from .decomposer import (
     Decomposition,
     chain_multiplicities,
-    cyclic_multiplicities,
     decompose_enhanced,
     framed_jordan_type,
     isomorphic,
@@ -87,7 +83,6 @@ from .rep_type import (
     RepType,
     classify,
     min_tits_over_box,
-    search_windows,
     tits_form,
     wildness_witness,
 )

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 
 from .partitions import FrobeniusPartition, Multipartition, Partition, json_int
-from .residues import DimensionVector, chain_allowed, chain_fills, runs_vector, zero_hits
+from .residues import DimensionVector, chain_fills, runs_vector, zero_hits
 
 
 class _Diagram:
@@ -140,10 +140,6 @@ class FrobeniusCircleDiagram(_Diagram):
         -mark mod ell, so the marked vertex sits in block 0."""
         return tuple(((-o) % self.ell, p, o) for p, o in self.circles)
 
-    def starts(self) -> tuple[int, ...]:
-        """Start block of each circle; the marked vertex then sits in block 0."""
-        return tuple(s for s, _, _ in self.chains())
-
     def frobenius_partition(self) -> FrobeniusPartition:
         arms = tuple(o for _, o in self.circles)
         legs = tuple(p - o - 1 for p, o in self.circles)
@@ -222,14 +218,6 @@ def diagram_from_json(data: dict) -> "CircleDiagram | FrobeniusCircleDiagram":
     return _diagram_of_chains(ell, chains, marked)
 
 
-def diagram_of_coloured_partition(lam: Partition, colours, ell: int) -> CircleDiagram:
-    """One circle per row: row i starts in block colours[i] and has length lam_i."""
-    colours = tuple(int(c) for c in colours)
-    if len(colours) != len(lam):
-        raise ValueError("one colour per part is required")
-    return CircleDiagram(ell, tuple((c, p) for c, p in zip(colours, lam.parts)))
-
-
 def frobenius_diagram_of_partition(lam: Partition, ell: int) -> FrobeniusCircleDiagram:
     """The marked diagram of a partition: hook i gives a circle of the hook's
     size marked at offset arms[i] (so it starts in block -arms[i] mod ell).
@@ -249,26 +237,32 @@ def bounded_circle_diagrams(
     max_length: int | None = None,
     max_zero_hits: int | None = None,
 ) -> list[CircleDiagram]:
-    """All unmarked diagrams with dimension vector d, circlewise filtered,
+    """All unmarked diagrams with dimension vector d, circlewise bounded,
     sorted by their circles.
 
     ``max_length`` caps the vertex count of each circle; ``max_zero_hits``
-    caps how often each circle passes block 0 (the nilpotency-degree bound).
-    The diagrams are the fills of :func:`~nilquiver.residues.chain_fills`
-    with cap ``max_length``, the search that also fills the orbit labels,
-    so more than ``DEFAULT_ENUMERATION_CAP`` fills of d within the length
-    cap raise its ``ValueError``, before the block-0 filter is applied.
+    caps how often each circle passes block 0 (the nilpotency-degree
+    bound).  A circle from block v passes block 0 for the (x+1)-th time at
+    offset (-v mod ell) + x*ell, so the second bound is a length cap too,
+    one per start block.  The diagrams are the fills of
+    :func:`~nilquiver.residues.chain_fills` with these per-block caps, the
+    search that also fills the orbit labels; both bounds apply inside the
+    search, so more than ``DEFAULT_ENUMERATION_CAP`` diagrams that meet
+    them raise its ``ValueError``.
     """
     if d.ell != ell:
         raise ValueError("dimension vector has the wrong cycle length")
-    _, fills = chain_fills(ell, d.total if max_length is None else max_length)
+    if max_zero_hits is not None and max_zero_hits < 1:
+        raise ValueError("max_zero_hits must be positive")
+    cap = d.total if max_length is None else max_length
+    caps = tuple(
+        cap if max_zero_hits is None else min(cap, (-v) % ell + max_zero_hits * ell)
+        for v in range(ell)
+    )
+    _, fills = chain_fills(ell, caps)
     diagrams = [
         CircleDiagram.from_multipartition(Multipartition(fill)) for fill in fills(d.main, 0)
     ]
-    if max_zero_hits is not None:
-        diagrams = [
-            c for c in diagrams if all(chain_allowed(s, p, ell, max_zero_hits) for s, p in c.circles)
-        ]
     return sorted(diagrams, key=lambda c: c.circles)
 
 

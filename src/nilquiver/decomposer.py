@@ -173,11 +173,6 @@ def chain_multiplicities(rep: QuiverRep) -> dict[tuple[int, int], int]:
     return _chain_counts(rep.dims.main, plain)
 
 
-def cyclic_multiplicities(rep: QuiverRep) -> Multipartition:
-    """Chain lengths of the unframed part grouped by start vertex."""
-    return CircleDiagram(rep.ell, tuple(chain_multiplicities(rep).elements())).multipartition()
-
-
 # ---------------------------------------------------------------------------
 # decomposition of framed representations
 # ---------------------------------------------------------------------------

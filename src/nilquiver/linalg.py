@@ -264,23 +264,11 @@ class RationalMatrix:
         return basis
 
 
-def hstack(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    if a.nrows != b.nrows:
-        raise ValueError("row count mismatch in hstack")
-    rows = tuple(ra + rb for ra, rb in zip(a.rows, b.rows)) if a.nrows else ()
-    return RationalMatrix(rows, a.ncols + b.ncols)
-
-
-def vstack(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    if a.ncols != b.ncols:
-        raise ValueError("column count mismatch in vstack")
-    return RationalMatrix(a.rows + b.rows, a.ncols)
-
-
 def block_diag(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    top = hstack(a, RationalMatrix.zero(a.nrows, b.ncols))
-    bottom = hstack(RationalMatrix.zero(b.nrows, a.ncols), b)
-    return vstack(top, bottom)
+    """The block-diagonal matrix: a top left, b bottom right, zeros elsewhere."""
+    zeros_right, zeros_left = (Fraction(0),) * b.ncols, (Fraction(0),) * a.ncols
+    rows = tuple(row + zeros_right for row in a.rows) + tuple(zeros_left + row for row in b.rows)
+    return RationalMatrix._built(rows, a.ncols + b.ncols)
 
 
 def from_columns(cols: list[tuple], nrows: int) -> RationalMatrix:

@@ -312,7 +312,7 @@ def enumerate_striped(
     """
     if xi.ell != ell:
         raise ValueError("signature has the wrong cycle length")
-    _, fills = chain_fills(ell, xi.total, max_count)
+    _, fills = chain_fills(ell, (xi.total,) * ell, max_count)
     out: list[StripedBipartition] = []
     for fill in fills(xi.main, 0):
         rows = sorted(

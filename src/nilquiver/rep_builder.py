@@ -92,10 +92,6 @@ class QuiverRep:
             power = cycle @ power
         raise ValueError(f"cycle map is not nilpotent: rank((cycle)^{d0}) > 0")
 
-    def restricted(self) -> "QuiverRep":
-        """Forget the framing."""
-        return QuiverRep(self.ell, DimensionVector(0, self.dims.main), self.maps, ())
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:

@@ -170,19 +170,3 @@ def min_tits_over_box(window: CoveringWindow, max_entry: int) -> int:
         raise ValueError("no nonzero vector in the search box")
     return min(candidates)
 
-
-def search_windows(ell: int, x: int, max_rows: int, max_entry: int) -> int:
-    """Minimum Tits value over all windows with at most max_rows rows.
-
-    All 0-lift alignments are tried.  Used as a bounded sanity check that
-    finite and tame pairs admit no negative vector at small scale.
-    """
-    if ell < 1 or max_rows < 1:
-        raise ValueError("ell and max_rows must be positive")
-    # offset <= rows keeps at least one framing row in the window
-    windows = (
-        CoveringWindow(ell, x, rows, tuple(range(offset, rows + 1, ell)))
-        for rows in range(1, max_rows + 1)
-        for offset in range(1, min(ell, rows) + 1)
-    )
-    return min(min_tits_over_box(window, max_entry) for window in windows)

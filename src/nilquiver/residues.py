@@ -71,12 +71,6 @@ class DimensionVector:
             tuple(a + b for a, b in zip(self.main, other.main)),
         )
 
-    def dominates(self, other: "DimensionVector") -> bool:
-        """Componentwise >= on the main part (framing ignored)."""
-        if self.ell != other.ell:
-            raise ValueError("cycle length mismatch")
-        return all(a >= b for a, b in zip(self.main, other.main))
-
     def __str__(self) -> str:
         return f"({self.framing}; " + ",".join(str(x) for x in self.main) + ")"
 
@@ -135,15 +129,6 @@ def shifted_residue(nu: Multipartition, ell: int) -> DimensionVector:
     return DimensionVector(0, runs_vector(chains, ell))
 
 
-def dim_chain(i: int, length: int, ell: int) -> DimensionVector:
-    """Dimension vector of the chain module supported on i, ..., i+length-1."""
-    if not (0 <= i < ell):
-        raise ValueError("start vertex out of range")
-    if length < 1:
-        raise ValueError("chain length must be positive")
-    return DimensionVector(0, run_vector(i, length, ell))
-
-
 def dim_framed(lam: Partition, ell: int) -> DimensionVector:
     """Dimension vector of the framed indecomposable attached to lam."""
     return DimensionVector(1, column_residue(lam, ell).main)
@@ -152,13 +137,6 @@ def dim_framed(lam: Partition, ell: int) -> DimensionVector:
 def zero_hits(i: int, length: int, ell: int) -> int:
     """How often the chain from vertex i of the given length passes vertex 0."""
     return run_vector(i, length, ell)[0]
-
-
-def chain_allowed(i: int, length: int, ell: int, x: int) -> bool:
-    """Whether the chain module satisfies the degree-x nilpotency bound."""
-    if x < 1:
-        raise ValueError("x must be positive")
-    return zero_hits(i, length, ell) <= x
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,15 +198,15 @@ def chain_fillable(remaining: tuple[int, ...], vertex: int) -> bool:
     return all(remaining[q - 1] >= remaining[q] for q in range(vertex))
 
 
-def chain_fills(ell: int, cap: int, max_count: int = DEFAULT_ENUMERATION_CAP):
+def chain_fills(ell: int, caps: tuple[int, ...], max_count: int = DEFAULT_ENUMERATION_CAP):
     """The fill search, as the pair of memoized functions ``(tally, fills)``.
 
     ``fills(remaining, vertex)`` lists every fill of the nonnegative vector
-    remaining by chains of length at most cap starting at the vertices
-    vertex, ..., ell-1, as one partition of chain lengths per vertex,
-    largest lengths tuple first.  ``tally(remaining, vertex)`` is the
-    number of those fills, or ``max_count + 1`` when there are more than
-    ``max_count`` of them.
+    remaining by chains starting at the vertices vertex, ..., ell-1, each
+    chain from a vertex v of length at most ``caps[v]``, as one partition
+    of chain lengths per vertex, largest lengths tuple first.
+    ``tally(remaining, vertex)`` is the number of those fills, or
+    ``max_count + 1`` when there are more than ``max_count`` of them.
 
     A chain of length N at vertex v occupies run_vector(v, N, ell).  The
     search only ever enters a remainder that :func:`chain_fillable` accepts:
@@ -281,7 +259,7 @@ def chain_fills(ell: int, cap: int, max_count: int = DEFAULT_ENUMERATION_CAP):
         found = choice_lists.get((remaining, vertex))
         if found is None:
             found = choice_lists[(remaining, vertex)] = []
-            collect(vertex, remaining, sum(remaining), cap, (), found)
+            collect(vertex, remaining, sum(remaining), caps[vertex], (), found)
         return found
 
     def tally(remaining: tuple[int, ...], vertex: int) -> int:
@@ -349,7 +327,7 @@ def enumerate_orbit_labels(
     bounds lam, so the search is finite and complete.  The admissible
     partitions are walked in the output order, and each one's deficit
     n*delta - column_residue(lam) is filled with chains by
-    :func:`chain_fills`, whose cap n*ell never binds: component v of nu
+    :func:`chain_fills`, whose caps n*ell never bind: component v of nu
     lists the chain lengths at vertex v.  The fills come largest lengths
     tuple first, so the labels come out sorted, without a sort.  Every
     deficit's list of multipartitions is built once and shared, as the same
@@ -368,7 +346,7 @@ def enumerate_orbit_labels(
     """
     if n < 0 or ell < 1:
         raise ValueError("need n >= 0 and ell >= 1")
-    tally, fills = chain_fills(ell, n * ell, max_count)
+    tally, fills = chain_fills(ell, (n * ell,) * ell, max_count)
     walk = []
     total = 0
     for parts, deficit in _admissible_partitions(n, ell):

@@ -19,9 +19,19 @@ bipartition off the same chain-fill search, ``residues.chain_fills``.
 ``striped_bipartitions`` is the search it replaced: it walks every
 partition of the signature's total and colours the rows of each one by
 its own recursion, with no cap.
+
+``circle_diagrams.bounded_circle_diagrams`` turns its block-0 bound into a
+length cap per start vertex inside the fill search; ``chain_allowed`` is
+the circlewise filter it applied to the listed fills before.
+
+``chain_counts`` and ``cone_count`` count fills and labels without listing
+any, by an unbounded-knapsack table over the chain vectors, and share no
+code with ``residues.chain_fills`` or with the admissible-partition walk.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from nilquiver import (
     DimensionVector,
@@ -34,7 +44,52 @@ from nilquiver import (
     enumerate_partitions,
     frobenius_diagram_of_partition,
     run_vector,
+    zero_hits,
 )
+
+
+def chain_allowed(i: int, length: int, ell: int, x: int) -> bool:
+    """Whether the chain module satisfies the degree-x nilpotency bound."""
+    if x < 1:
+        raise ValueError("x must be positive")
+    return zero_hits(i, length, ell) <= x
+
+
+def chain_counts(ell: int, caps: tuple[int, ...], target: tuple[int, ...]) -> dict:
+    """For every vector t <= target, the number of multisets of chains
+    (v, L), L <= caps[v], whose vectors run_vector(v, L, ell) sum to t.
+
+    Each chain is one item of an unbounded knapsack over the box of
+    vectors below target; the box is walked in lexicographic order, so
+    t - item comes before t and may already hold copies of the item."""
+    items = [
+        run_vector(v, length, ell)
+        for v in range(ell)
+        for length in range(1, min(caps[v], sum(target)) + 1)
+    ]
+    box = list(product(*(range(t + 1) for t in target)))
+    counts = dict.fromkeys(box, 0)
+    counts[(0,) * ell] = 1
+    for item in items:
+        for t in box:
+            rest = tuple(a - b for a, b in zip(t, item))
+            if min(rest) >= 0:
+                counts[t] += counts[rest]
+    return counts
+
+
+def cone_count(n: int, ell: int) -> int:
+    """The number of labels of the (ell, n) cone: the fills of n*delta -
+    column_residue(lam), summed over the partitions lam whose column
+    residue is at most n at each vertex."""
+    counts = chain_counts(ell, (n * ell,) * ell, (n,) * ell)
+    total = 0
+    for m in range(n * ell + 1):
+        for lam in enumerate_partitions(m):
+            cres = column_residue(lam, ell).main
+            if max(cres) <= n:
+                total += counts[tuple(n - c for c in cres)]
+    return total
 
 
 def fill_with_chains(deficit: tuple[int, ...], vertex: int, ell: int):
@@ -70,7 +125,7 @@ def orbit_labels(n: int, ell: int) -> list[OrbitLabel]:
     for m in range(n * ell + 1):
         for lam in enumerate_partitions(m):
             cres = column_residue(lam, ell)
-            if not target.dominates(cres):
+            if max(cres.main) > n:
                 continue
             deficit = tuple(t - c for t, c in zip(target.main, cres.main))
             for comps in fill_with_chains(deficit, 0, ell):

@@ -13,8 +13,13 @@ its inverse: a singular draw is found by its rank.
 
 from __future__ import annotations
 
-from nilquiver.linalg import RationalMatrix, hstack
+from nilquiver.linalg import RationalMatrix
 from nilquiver.rep_builder import QuiverRep, _invertible_draw
+
+
+def hstack(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """[a | b]: the rows of a and b side by side."""
+    return RationalMatrix(tuple(ra + rb for ra, rb in zip(a.rows, b.rows)), a.ncols + b.ncols)
 
 
 def dense_product(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:

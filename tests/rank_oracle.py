@@ -11,8 +11,13 @@ hstacked [P(i, L) | K_{i+L}].
 
 from __future__ import annotations
 
-from nilquiver.linalg import RationalMatrix, from_columns, hstack
+from nilquiver.linalg import RationalMatrix, from_columns
 from nilquiver.rep_builder import QuiverRep
+
+
+def hstack(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """[a | b]: the rows of a and b side by side."""
+    return RationalMatrix(tuple(ra + rb for ra, rb in zip(a.rows, b.rows)), a.ncols + b.ncols)
 
 
 def krylov_spans(rep: QuiverRep) -> list[list[tuple]]:

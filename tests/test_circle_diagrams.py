@@ -1,5 +1,9 @@
 
+import functools
+import itertools
+
 import pytest
+from enumeration_oracle import chain_allowed, chain_counts
 
 from nilquiver import (
     CircleDiagram,
@@ -10,7 +14,6 @@ from nilquiver import (
     bounded_circle_diagrams,
     column_residue,
     diagram_from_json,
-    diagram_of_coloured_partition,
     diagrams_of_label,
     enumerate_orbit_labels,
     enumerate_partitions,
@@ -20,6 +23,7 @@ from nilquiver import (
     to_dot,
     zero_hits,
 )
+from nilquiver import circle_diagrams, residues
 
 
 def brute_force_tilings(ell, d, allowed):
@@ -64,21 +68,24 @@ def test_circle_diagram_canonical_order_and_dims():
 
 
 def test_diagram_of_coloured_partition():
-    d = diagram_of_coloured_partition(Partition([3]), (1,), 2)
-    assert d.circles == ((1, 3),)
-    d = diagram_of_coloured_partition(Partition([2, 1]), (0, 0), 1)
-    assert d.circles == ((0, 2), (0, 1))
-    with pytest.raises(ValueError):
-        diagram_of_coloured_partition(Partition([2, 1]), (0,), 1)
+    # one circle per row: row i starts in block colours[i], of length lam_i
+    def coloured(lam, colours, ell):
+        return CircleDiagram(ell, tuple(zip(colours, lam.parts)))
+
+    assert coloured(Partition([3]), (1,), 2).circles == ((1, 3),)
+    assert coloured(Partition([2, 1]), (0, 0), 1).circles == ((0, 2), (0, 1))
+    d = coloured(Partition([2, 2, 1]), (1, 0, 2), 3)
+    assert d.circles == ((0, 2), (1, 2), (2, 1))
+    assert d.dimension_vector().main == (1, 2, 2)
 
 
 def test_frobenius_diagram_construction():
     # hooks (legs, arms) of [7,5,3,2,1] are ((4,2,0),(6,3,0)); marks are arms
     d = frobenius_diagram_of_partition(Partition([7, 5, 3, 2, 1]), 2)
     assert d.circles == ((11, 6), (6, 3), (1, 0))
-    assert d.starts() == (0, 1, 0)
+    assert [s for s, _, _ in d.chains()] == [0, 1, 0]
     d = frobenius_diagram_of_partition(Partition([1]), 5)
-    assert d.circles == ((1, 0),) and d.starts() == (0,)
+    assert d.chains() == ((0, 1, 0),)
 
 
 def test_derived_values_equal_the_validated_ones():
@@ -110,7 +117,7 @@ def test_frobenius_diagram_of_reference_shape():
     # three marked circles with 9, 5 and 2 vertices, marks at offsets 3, 2, 0
     d = frobenius_diagram_of_partition(Partition([4, 4, 3, 3, 1, 1]), 4)
     assert d.circles == ((9, 3), (5, 2), (2, 0))
-    assert d.starts() == (1, 2, 0)
+    assert [s for s, _, _ in d.chains()] == [1, 2, 0]
     assert d.partition() == Partition([4, 4, 3, 3, 1, 1])
 
 
@@ -213,6 +220,43 @@ def test_bounded_circle_diagram_filters():
     assert any(d.circles == ((1, 2),) for d in got)
 
 
+def test_bounded_circle_diagrams_cap_bounds_the_output(monkeypatch):
+    # the block-0 bound applies inside the search: (0; 30) has 5,604 fills
+    # but one diagram whose circles pass block 0 at most once
+    capped = functools.partial(residues.chain_fills, max_count=1000)
+    monkeypatch.setattr(circle_diagrams, "chain_fills", capped)
+    got = bounded_circle_diagrams(1, DimensionVector(0, (30,)), max_zero_hits=1)
+    assert [d.circles for d in got] == [((0, 1),) * 30]
+    with pytest.raises(ValueError, match="cap of 1000"):
+        bounded_circle_diagrams(1, DimensionVector(0, (30,)))
+
+
+def test_bounded_circle_diagrams_reject_a_nonpositive_block_0_bound():
+    # refused up front, also where no circle would reach the bound
+    for d in (DimensionVector(0, (0,)), DimensionVector(0, (2, 1))):
+        with pytest.raises(ValueError, match="max_zero_hits must be positive"):
+            bounded_circle_diagrams(d.ell, d, max_zero_hits=0)
+
+
+def test_bounded_circle_diagrams_equal_the_filtered_listing():
+    # every signature with entries <= 3 at ell <= 3 and <= 2 at ell = 4
+    for ell, top in [(1, 3), (2, 3), (3, 3), (4, 2)]:
+        for main in itertools.product(range(top + 1), repeat=ell):
+            d = DimensionVector(0, main)
+            for max_length in (None, 1, 2, 3, 5):
+                listed = bounded_circle_diagrams(ell, d, max_length)
+                for x in (1, 2):
+                    got = bounded_circle_diagrams(ell, d, max_length, x)
+                    want = [c for c in listed if all(chain_allowed(s, p, ell, x) for s, p in c.circles)]
+                    assert got == want, (main, max_length, x)
+                    caps = tuple(
+                        min(sum(main) if max_length is None else max_length, (-v) % ell + x * ell)
+                        for v in range(ell)
+                    )
+                    assert len(got) == chain_counts(ell, caps, main)[main], (main, max_length, x)
+                assert len(listed) == chain_counts(ell, (max_length or sum(main),) * ell, main)[main]
+
+
 def test_json_roundtrip():
     d = frobenius_diagram_of_partition(Partition([4, 2]), 3)
     assert diagram_from_json(d.to_json()) == d
@@ -278,7 +322,6 @@ def test_chains_put_the_mark_in_block_0():
                 chains = d.chains()
                 assert [(p, o) for _, p, o in chains] == list(d.circles)
                 assert all((s + o) % ell == 0 for s, _, o in chains)
-                assert tuple(s for s, _, _ in chains) == d.starts()
     c = CircleDiagram(3, ((0, 2), (2, 5), (1, 1)))
     assert c.chains() == ((2, 5, None), (0, 2, None), (1, 1, None))
     assert CircleDiagram(2, ()).chains() == () == FrobeniusCircleDiagram(2, ()).chains()

@@ -20,7 +20,6 @@ from nilquiver import (
     build_striped,
     bipartition_to_label,
     chain_multiplicities,
-    cyclic_multiplicities,
     decompose_enhanced,
     direct_sum,
     enumerate_bipartitions,
@@ -152,7 +151,7 @@ def test_chain_multiplicities_of_constructed_sums():
     assert chain_multiplicities(rep) == {(1, 3): 1}
     rep = direct_sum(build_chain(0, 2, 2), build_chain(1, 1, 2))
     assert chain_multiplicities(rep) == {(0, 2): 1, (1, 1): 1}
-    nu = cyclic_multiplicities(rep)
+    nu = decompose_enhanced(rep).plain_parts
     assert [c.parts for c in nu] == [(2,), (1,)]
 
 
@@ -527,7 +526,7 @@ def test_one_vertex_multiplicities_agree_with_jordan_type():
         from nilquiver import QuiverRep
 
         rep = QuiverRep(1, DV(0, (x.nrows,)), (moved,), ())
-        assert cyclic_multiplicities(rep)[0] == jordan_type(moved) == P(blocks)
+        assert decompose_enhanced(rep).plain_parts[0] == jordan_type(moved) == P(blocks)
 
 
 def test_methods_agree_on_one_vertex_inputs():

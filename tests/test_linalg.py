@@ -9,8 +9,6 @@ from nilquiver.linalg import (
     as_fraction,
     block_diag,
     from_columns,
-    hstack,
-    vstack,
 )
 
 
@@ -104,11 +102,18 @@ def test_inverse():
 def test_stacking():
     a = RationalMatrix(((1,),), 1)
     b = RationalMatrix(((2,),), 1)
-    assert hstack(a, b).shape == (1, 2)
-    assert vstack(a, b).shape == (2, 1)
     d = block_diag(a, b)
     assert d.shape == (2, 2)
     assert d.entry(0, 1) == 0 and d.entry(1, 1) == 2
+    # blocks of every shape, empty ones included, against the checking
+    # constructor fed the padded rows
+    c = RationalMatrix(((1, Fraction(1, 2), 0), (0, -3, 7)), 3)
+    for x, y in [(c, a), (a, c), (c, RationalMatrix.zero(0, 2)), (RationalMatrix.zero(2, 0), c),
+                 (RationalMatrix.zero(0, 0), RationalMatrix.zero(0, 0))]:
+        d = block_diag(x, y)
+        want = [list(r) + [0] * y.ncols for r in x.rows] + [[0] * x.ncols + list(r) for r in y.rows]
+        assert d == RationalMatrix(want, x.ncols + y.ncols)
+        assert all(type(v) is Fraction for row in d.rows for v in row)
 
 
 def test_from_columns():

@@ -1,13 +1,13 @@
 import itertools
 
 import pytest
+from tits_oracle import search_windows
 
 from nilquiver import (
     CoveringWindow,
     RepType,
     classify,
     min_tits_over_box,
-    search_windows,
     tits_form,
     wildness_witness,
 )

@@ -3,17 +3,15 @@ import random
 import time
 
 import pytest
-from enumeration_oracle import fill_with_chains, orbit_labels
+from enumeration_oracle import chain_allowed, chain_counts, cone_count, fill_with_chains, orbit_labels
 
 from nilquiver import (
     DimensionVector,
     Multipartition,
     OrbitLabel,
     Partition,
-    chain_allowed,
     column_residue,
     delta,
-    dim_chain,
     dim_framed,
     ell_quotient_core,
     enumerate_orbit_labels,
@@ -96,9 +94,10 @@ def test_shifted_residue_counts_chain_vertices():
 
 
 def test_dim_chain_examples():
-    assert dim_chain(0, 3, 3).main == (1, 1, 1)
-    assert dim_chain(2, 10, 4).main == (2, 2, 3, 3)
-    assert dim_chain(0, 1, 3).main == (1, 0, 0)
+    # the chain module on i, ..., i+length-1 has dimension vector run_vector
+    assert run_vector(0, 3, 3) == (1, 1, 1)
+    assert run_vector(2, 10, 4) == (2, 2, 3, 3)
+    assert run_vector(0, 1, 3) == (1, 0, 0)
     # brute-force walk oracle
     for ell in (1, 2, 3, 4):
         for i in range(ell):
@@ -106,7 +105,7 @@ def test_dim_chain_examples():
                 walk = [0] * ell
                 for k in range(length):
                     walk[(i + k) % ell] += 1
-                assert dim_chain(i, length, ell).main == tuple(walk)
+                assert run_vector(i, length, ell) == tuple(walk)
 
 
 def test_dim_framed_examples():
@@ -151,7 +150,7 @@ def test_enumerate_orbit_labels_satisfy_the_residue_equation():
         for m in range(n * ell + 1):
             for lam in enumerate_partitions(m):
                 cr = column_residue(lam, ell)
-                if not delta(ell, n).dominates(cr):
+                if max(cr.main) > n:
                     continue
                 need = tuple(n - c for c in cr.main)
                 brute += sum(
@@ -162,16 +161,42 @@ def test_enumerate_orbit_labels_satisfy_the_residue_equation():
         assert brute == len(labels)
 
 
+#: Every cone the tests enumerate whole, as (ell, n).
+CONES = (
+    [(1, n) for n in range(11)]
+    + [(2, n) for n in range(7)]
+    + [(3, n) for n in range(5)]
+    + [(4, n) for n in range(4)]
+    + [(5, 2), (6, 2)]
+)
+
+
 def test_enumerate_orbit_labels_matches_the_direct_search():
-    cones = (
-        [(1, n) for n in range(11)]
-        + [(2, n) for n in range(7)]
-        + [(3, n) for n in range(5)]
-        + [(4, n) for n in range(4)]
-        + [(2, 5), (4, 3), (5, 2), (6, 2)]
-    )
-    for ell, n in cones:
+    for ell, n in CONES:
         assert enumerate_orbit_labels(n, ell) == orbit_labels(n, ell), (ell, n)
+
+
+def test_knapsack_count_gives_the_known_cone_sizes():
+    # ell = 1: the bipartition numbers (Achar and Henderson, Adv. Math. 219, 2008)
+    assert [cone_count(n, 1) for n in range(9)] == [1, 2, 5, 10, 20, 36, 65, 110, 185]
+    assert [cone_count(n, 2) for n in range(7)] == [1, 6, 28, 104, 342, 1016, 2808]
+    assert [cone_count(n, 3) for n in range(5)] == [1, 14, 122, 796, 4308]
+    assert [cone_count(n, 4) for n in range(4)] == [1, 30, 485, 5470]
+
+
+def test_enumeration_and_tally_match_the_knapsack_count():
+    # the fill search's count of each deficit, and the labels listed, against
+    # a count that shares no code with chain_fills or the admissible walk
+    for ell, n in CONES:
+        counts = chain_counts(ell, (n * ell,) * ell, (n,) * ell)
+        tally, _ = residues.chain_fills(ell, (n * ell,) * ell)
+        total = 0
+        for _, deficit in residues._admissible_partitions(n, ell):
+            assert tally(deficit, 0) == counts[deficit], (ell, n, deficit)
+            total += tally(deficit, 0)
+        assert total == len(enumerate_orbit_labels(n, ell)) == cone_count(n, ell), (ell, n)
+    for ell, n in [(1, 6), (2, 3), (3, 2), (4, 1)]:
+        assert len(enumerate_striped(ell, delta(ell, n))) == cone_count(n, ell), (ell, n)
 
 
 def test_enumerate_orbit_labels_cap():
