@@ -252,6 +252,8 @@ def bounded_circle_diagrams(
     """
     if d.ell != ell:
         raise ValueError("dimension vector has the wrong cycle length")
+    if max_length is not None and max_length < 1:
+        raise ValueError("max_length must be positive")
     if max_zero_hits is not None and max_zero_hits < 1:
         raise ValueError("max_zero_hits must be positive")
     cap = d.total if max_length is None else max_length

@@ -42,6 +42,7 @@ from .residues import (
     DimensionVector,
     OrbitLabel,
     column_residue,
+    cone_count,
     delta,
     ell_quotient_core,
     enumerate_orbit_labels,
@@ -335,8 +336,7 @@ def _cmd_selfcheck(args) -> int:
     report("core-quotient-roundtrip", ok)
 
     labels = enumerate_orbit_labels(n, ell)
-    striped = enumerate_striped(ell, delta(ell, n))
-    report("label-count", len(labels) == len(striped), f"{len(labels)} labels")
+    report("label-count", len(labels) == cone_count(n, ell), f"{len(labels)} labels")
 
     ok = True
     cases = 0
@@ -350,7 +350,7 @@ def _cmd_selfcheck(args) -> int:
                     ok = False
                 cases += 1
     else:
-        for s in striped:
+        for s in enumerate_striped(ell, delta(ell, n)):
             want = striped_label(s)
             got = decompose_enhanced(build_striped(s)).label()
             if got != want:

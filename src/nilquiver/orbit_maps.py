@@ -17,7 +17,8 @@ remaining rows as a marked circle diagram.  A normal-form bipartition is
 the striped bipartition of ell = 1 whose markings are mu, so one
 row-removal rule serves both.  The inverses are built from the label's
 circle diagrams, not found by search, and are certified by their forward
-maps.
+maps; the striped bipartitions of a signature are enumerated as the image
+of the orbit labels under the inverse.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .circle_diagrams import (
     frobenius_diagram_of_partition,
 )
 from .partitions import DEFAULT_ENUMERATION_CAP, Multipartition, Partition, json_ints
-from .residues import DimensionVector, OrbitLabel, chain_fills, runs_vector
+from .residues import DimensionVector, OrbitLabel, _orbit_labels, runs_vector
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +218,8 @@ def striped_from_label(label: OrbitLabel) -> StripedBipartition:
     row (p, s, nu), nu the largest value = p + s mod ell that is at most the
     largest of 0, the marking of the first surviving row of length <= p,
     and p - mu of the last surviving row longer than p.  Rows of equal
-    length are sorted by (colour, marking), as :func:`enumerate_striped`
-    emits them.  The answer is certified by the forward map.
+    length are sorted by (colour, marking), one fixed order for each
+    multiset of rows.  The answer is certified by the forward map.
     """
     ell = label.ell
     frob, circ = diagrams_of_label(label)
@@ -279,65 +280,17 @@ def label_to_bipartition(eta: Partition, zeta: Partition) -> tuple[Partition, Pa
 # ---------------------------------------------------------------------------
 
 
-def _marking_choices(length: int, colour: int, ell: int) -> list[int]:
-    """Admissible marking values of a row: nu <= length, nu > -ell, and the
-    mark colour condition nu = length + colour mod ell."""
-    res = (length + colour) % ell
-    lo = -ell + 1
-    first = lo + ((res - lo) % ell)
-    return list(range(first, length + 1, ell))
-
-
 def enumerate_striped(
     ell: int, xi: DimensionVector, max_count: int = DEFAULT_ENUMERATION_CAP
 ) -> list[StripedBipartition]:
     """All striped bipartitions with the given signature, sorted by
-    (lam, epsilon, nu).
-
-    The coloured rows of a striped bipartition are a multiset of chains,
-    colour = start vertex, that fills the signature, so they come from the
-    fill search :func:`residues.chain_fills` shared with the orbit labels.
-    Each fill's rows are sorted longest first, then by colour; rows of
-    equal length and colour take non-decreasing markings, and each new row
-    is checked against the striped ordering, so each object is emitted
-    exactly once.
-
-    ``ValueError`` is raised exactly when there are more than ``max_count``
-    of them.  Every fill admits the all-unmarked rows: each nu_i is the
-    value in (-ell, 0] that puts the mark in block 0, and for i < j then
-    nu_j <= 0 < nu_i + ell and mu_j < lam_j + ell <= mu_i + ell.  So a
-    signature with more than ``max_count`` fills, where the fill search
-    raises, has more than ``max_count`` striped bipartitions too, and the
-    marking search raises as soon as its output passes the cap.
+    (lam, epsilon, nu): the images under :func:`striped_from_label`, each
+    certified by the forward map, of the orbit labels with dimension
+    vector (1; xi).  ``striped_label`` is a bijection at fixed signature,
+    so ``ValueError`` is raised exactly when the labels pass ``max_count``,
+    and they are counted before any is built.
     """
     if xi.ell != ell:
         raise ValueError("signature has the wrong cycle length")
-    _, fills = chain_fills(ell, (xi.total,) * ell, max_count)
-    out: list[StripedBipartition] = []
-    for fill in fills(xi.main, 0):
-        rows = sorted(
-            ((length, colour) for colour, lengths in enumerate(fill) for length in lengths),
-            key=lambda r: (-r[0], r[1]),
-        )
-        lam = Partition(length for length, _ in rows)
-        parts = lam.parts
-        eps = tuple(colour for _, colour in rows)
-        options = [_marking_choices(p, e, ell) for p, e in rows]
-
-        def assign(i: int, acc: tuple[int, ...]):
-            if i == len(parts):
-                out.append(StripedBipartition(ell, lam, eps, acc))
-                if len(out) > max_count:
-                    raise ValueError(f"enumeration exceeds the cap of {max_count}")
-                return
-            low = acc[-1] if i and rows[i - 1] == rows[i] else -ell
-            for value in (v for v in options[i] if v >= low):
-                mu_i = parts[i] - value
-                if all(
-                    value < acc[j] + ell and mu_i < parts[j] - acc[j] + ell for j in range(i)
-                ):
-                    assign(i + 1, acc + (value,))
-
-        assign(0, ())
-    out.sort(key=lambda s: (s.lam.parts, s.epsilon, s.nu))
-    return out
+    striped = map(striped_from_label, _orbit_labels(xi.main, max_count))
+    return sorted(striped, key=lambda s: (s.lam.parts, s.epsilon, s.nu))

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, product
 
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
     Multipartition,
     Partition,
+    enumerate_partitions,
     json_int,
     json_ints,
 )
@@ -291,15 +292,16 @@ def chain_fills(ell: int, caps: tuple[int, ...], max_count: int = DEFAULT_ENUMER
     return tally, fills
 
 
-def _admissible_partitions(n: int, ell: int):
-    """Yield (parts, n*delta - column_residue) for every partition whose
-    column residue is at most n at each vertex, parts lexicographically
+def _admissible_partitions(target: tuple[int, ...]):
+    """Yield (parts, target - column_residue) for every partition whose
+    column residue is at most target at each vertex, parts lexicographically
     decreasing (so a partition comes after all of its extensions).
 
     Row i (1-based) of length p holds the negated contents i-1, ..., i-p.
     Adding boxes only raises the residue, so a row that overflows some
     vertex at length p overflows it at every greater length, and so does
     every partition that extends it."""
+    ell = len(target)
 
     def walk(parts: tuple[int, ...], deficit: tuple[int, ...], cap: int):
         row = len(parts) + 1
@@ -314,20 +316,27 @@ def _admissible_partitions(n: int, ell: int):
             left[(row - p) % ell] += 1
         yield parts, deficit
 
-    return walk((), (n,) * ell, n * ell)
+    return walk((), target, sum(target))
 
 
 def enumerate_orbit_labels(
     n: int, ell: int, max_count: int = DEFAULT_ENUMERATION_CAP
 ) -> list[OrbitLabel]:
-    """All labels (lam; nu) whose total dimension vector is n at every vertex,
-    sorted by :meth:`OrbitLabel.sort_key`, largest first.
+    """All labels with dimension vector (1; n*delta), as :func:`_orbit_labels` lists them."""
+    if n < 0 or ell < 1:
+        raise ValueError("need n >= 0 and ell >= 1")
+    return _orbit_labels((n,) * ell, max_count)
 
-    The residue equation column_residue(lam) + shifted_residue(nu) = n*delta
+
+def _orbit_labels(main: tuple[int, ...], max_count: int) -> list[OrbitLabel]:
+    """All labels with dimension vector (1; main), sorted by
+    :meth:`OrbitLabel.sort_key`, largest first.
+
+    The residue equation column_residue(lam) + shifted_residue(nu) = main
     bounds lam, so the search is finite and complete.  The admissible
     partitions are walked in the output order, and each one's deficit
-    n*delta - column_residue(lam) is filled with chains by
-    :func:`chain_fills`, whose caps n*ell never bind: component v of nu
+    main - column_residue(lam) is filled with chains by
+    :func:`chain_fills`, whose caps sum(main) never bind: component v of nu
     lists the chain lengths at vertex v.  The fills come largest lengths
     tuple first, so the labels come out sorted, without a sort.  Every
     deficit's list of multipartitions is built once and shared, as the same
@@ -336,20 +345,19 @@ def enumerate_orbit_labels(
     The labels are counted before any is listed: the walk sums the fill
     counts of the deficits (memoized, and stopped past the cap, by
     ``chain_fills``) and raises ``ValueError`` as soon as the sum passes
-    ``max_count``.  So the error is raised exactly when the cone has more
-    than ``max_count`` labels (a cone of ``max_count`` labels is returned
-    whole), and before a single label is built.  Chains of length 1 fill
-    any deficit, so every admissible partition adds at least one label, and
+    ``max_count``.  So the error is raised exactly when there are more
+    than ``max_count`` labels (``max_count`` labels are returned whole),
+    and before a single label is built.  Chains of length 1 fill any
+    deficit, so every admissible partition adds at least one label, and
     the walk stops within ``max_count + 1`` partitions too.  The listing
-    then reads the same memoized choices, so a cone under the cap is
+    then reads the same memoized choices, so a vector under the cap is
     searched once.
     """
-    if n < 0 or ell < 1:
-        raise ValueError("need n >= 0 and ell >= 1")
-    tally, fills = chain_fills(ell, (n * ell,) * ell, max_count)
+    ell = len(main)
+    tally, fills = chain_fills(ell, (sum(main),) * ell, max_count)
     walk = []
     total = 0
-    for parts, deficit in _admissible_partitions(n, ell):
+    for parts, deficit in _admissible_partitions(main):
         total += tally(deficit, 0)
         if total > max_count:
             raise ValueError(f"enumeration exceeds the cap of {max_count}")
@@ -364,6 +372,38 @@ def enumerate_orbit_labels(
         lam = Partition._built(parts)
         out.extend([OrbitLabel(lam, nu) for nu in nus])
     return out
+
+
+def chain_counts(ell: int, caps: tuple[int, ...], target: tuple[int, ...]) -> dict:
+    """For every vector t <= target, the number of multisets of chains
+    (v, L), L <= caps[v], whose vectors run_vector(v, L, ell) sum to t.
+
+    Each chain is one item of an unbounded knapsack over the box of
+    vectors below target; the box is walked in lexicographic order, so
+    t - item comes before t and may already hold copies of the item.  This
+    count lists no fill and shares no code with :func:`chain_fills` or the
+    admissible-partition walk, so it checks both."""
+    top = sum(target)
+    items = [run_vector(v, L, ell) for v in range(ell) for L in range(1, min(caps[v], top) + 1)]
+    box = list(product(*(range(t + 1) for t in target)))
+    counts = dict.fromkeys(box, 0)
+    counts[(0,) * ell] = 1
+    for item in items:
+        for t in box:
+            rest = tuple(a - b for a, b in zip(t, item))
+            if min(rest) >= 0:
+                counts[t] += counts[rest]
+    return counts
+
+
+def cone_count(n: int, ell: int) -> int:
+    """The number of labels of the (ell, n) cone: the fills of n*delta -
+    column_residue(lam), summed over the partitions lam whose column
+    residue is at most n at each vertex."""
+    counts = chain_counts(ell, (n * ell,) * ell, (n,) * ell)
+    lams = (lam for m in range(n * ell + 1) for lam in enumerate_partitions(m))
+    cres = (column_residue(lam, ell).main for lam in lams)
+    return sum(counts[tuple(n - c for c in r)] for r in cres if max(r) <= n)
 
 
 def ell_quotient_core(lam: Partition, ell: int) -> tuple[Partition, Multipartition]:

@@ -14,24 +14,22 @@ and a renderer that recomputes every row from its label alone.
 ``fill_with_chains`` is also the brute-force check of the fillability
 criterion.
 
-``orbit_maps.enumerate_striped`` reads the coloured rows of a striped
-bipartition off the same chain-fill search, ``residues.chain_fills``.
-``striped_bipartitions`` is the search it replaced: it walks every
-partition of the signature's total and colours the rows of each one by
-its own recursion, with no cap.
+``orbit_maps.enumerate_striped`` lists the images of the orbit labels
+under ``striped_from_label``, so it rests on the label walk.
+``striped_bipartitions`` is an enumeration of its own: it walks every
+partition of the signature's total, colours the rows of each one and
+assigns their markings by its own recursions, with no cap.
 
 ``circle_diagrams.bounded_circle_diagrams`` turns its block-0 bound into a
 length cap per start vertex inside the fill search; ``chain_allowed`` is
 the circlewise filter it applied to the listed fills before.
 
-``chain_counts`` and ``cone_count`` count fills and labels without listing
-any, by an unbounded-knapsack table over the chain vectors, and share no
-code with ``residues.chain_fills`` or with the admissible-partition walk.
+The knapsack counts ``residues.chain_counts`` and ``residues.cone_count``,
+which share no code with the fill search or the admissible walk, live in
+``src`` for ``selfcheck``; the tests import them from there.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 from nilquiver import (
     DimensionVector,
@@ -53,43 +51,6 @@ def chain_allowed(i: int, length: int, ell: int, x: int) -> bool:
     if x < 1:
         raise ValueError("x must be positive")
     return zero_hits(i, length, ell) <= x
-
-
-def chain_counts(ell: int, caps: tuple[int, ...], target: tuple[int, ...]) -> dict:
-    """For every vector t <= target, the number of multisets of chains
-    (v, L), L <= caps[v], whose vectors run_vector(v, L, ell) sum to t.
-
-    Each chain is one item of an unbounded knapsack over the box of
-    vectors below target; the box is walked in lexicographic order, so
-    t - item comes before t and may already hold copies of the item."""
-    items = [
-        run_vector(v, length, ell)
-        for v in range(ell)
-        for length in range(1, min(caps[v], sum(target)) + 1)
-    ]
-    box = list(product(*(range(t + 1) for t in target)))
-    counts = dict.fromkeys(box, 0)
-    counts[(0,) * ell] = 1
-    for item in items:
-        for t in box:
-            rest = tuple(a - b for a, b in zip(t, item))
-            if min(rest) >= 0:
-                counts[t] += counts[rest]
-    return counts
-
-
-def cone_count(n: int, ell: int) -> int:
-    """The number of labels of the (ell, n) cone: the fills of n*delta -
-    column_residue(lam), summed over the partitions lam whose column
-    residue is at most n at each vertex."""
-    counts = chain_counts(ell, (n * ell,) * ell, (n,) * ell)
-    total = 0
-    for m in range(n * ell + 1):
-        for lam in enumerate_partitions(m):
-            cres = column_residue(lam, ell).main
-            if max(cres) <= n:
-                total += counts[tuple(n - c for c in cres)]
-    return total
 
 
 def fill_with_chains(deficit: tuple[int, ...], vertex: int, ell: int):

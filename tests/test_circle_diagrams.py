@@ -3,7 +3,7 @@ import functools
 import itertools
 
 import pytest
-from enumeration_oracle import chain_allowed, chain_counts
+from enumeration_oracle import chain_allowed
 
 from nilquiver import (
     CircleDiagram,
@@ -24,6 +24,7 @@ from nilquiver import (
     zero_hits,
 )
 from nilquiver import circle_diagrams, residues
+from nilquiver.residues import chain_counts
 
 
 def brute_force_tilings(ell, d, allowed):
@@ -236,6 +237,16 @@ def test_bounded_circle_diagrams_reject_a_nonpositive_block_0_bound():
     for d in (DimensionVector(0, (0,)), DimensionVector(0, (2, 1))):
         with pytest.raises(ValueError, match="max_zero_hits must be positive"):
             bounded_circle_diagrams(d.ell, d, max_zero_hits=0)
+
+
+@pytest.mark.parametrize(
+    "main,max_length", [((2,), 0), ((2,), -3), ((0, 0), -1), ((0,), 0)]
+)
+def test_bounded_circle_diagrams_reject_a_nonpositive_length_bound(main, max_length):
+    # refused up front: not read as "no diagrams", nor as the empty diagram
+    d = DimensionVector(0, main)
+    with pytest.raises(ValueError, match="max_length must be positive"):
+        bounded_circle_diagrams(d.ell, d, max_length=max_length)
 
 
 def test_bounded_circle_diagrams_equal_the_filtered_listing():

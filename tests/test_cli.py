@@ -435,6 +435,18 @@ def test_selfcheck(capsys):
     assert main(["selfcheck", "--n", "0", "--ell", "1"]) == 0
 
 
+@pytest.mark.parametrize("ell", [1, 2])
+def test_selfcheck_label_count_fails_on_a_wrong_count(monkeypatch, capsys, ell):
+    # the label-count line compares the labels with the knapsack count,
+    # which shares no code with the enumeration, so a wrong count shows
+    real = cli.cone_count
+    monkeypatch.setattr(cli, "cone_count", lambda n, ell: real(n, ell) + 1)
+    assert main(["selfcheck", "--n", "2", "--ell", str(ell)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL label-count" in out
+    assert out.count("FAIL") == 1 and out.count("PASS") == 4
+
+
 def test_bad_flags_exit_2():
     code, _, _ = run_cli(["enumerate-orbits", "--n", "-1", "--ell", "1"])
     assert code == 2

@@ -204,17 +204,19 @@ def test_enumerate_striped_counts():
     # one-vertex case: bipartitions
     assert len(enumerate_striped(1, DimensionVector(0, (3,)))) == 10
     assert len(enumerate_striped(2, DimensionVector(0, (0, 0)))) == 1
+    # enumerate_striped is the image of the labels, so count it against the
+    # oracle's own enumeration
     for n, ell in [(1, 2), (2, 2), (1, 3), (3, 1), (4, 1)]:
         striped = enumerate_striped(ell, delta(ell, n))
-        labels = enumerate_orbit_labels(n, ell)
-        assert len(striped) == len(labels)
+        assert len(striped) == len(striped_bipartitions(ell, delta(ell, n)))
 
 
 def test_enumerate_striped_matches_the_partition_walk():
-    # the oracle walks every partition of the total and colours its rows
+    # the oracle walks every partition of the total and colours its rows;
+    # 180 signatures, 7,424 bipartitions
     signatures = [
         (ell, main)
-        for ell, top in [(1, 3), (2, 3), (3, 3), (4, 2)]
+        for ell, top in [(1, 9), (2, 4), (3, 3), (4, 2)]
         for main in itertools.product(range(top + 1), repeat=ell)
     ]
     signatures += [(ell, (n,) * ell) for ell, n in [(4, 3), (3, 4), (5, 2), (6, 2)]]
@@ -248,11 +250,31 @@ def test_enumerate_striped_skips_the_partitions_of_the_total():
         enumerate_striped(2, DimensionVector(0, (61, 0)), max_count=0)
 
 
+def test_enumerate_striped_over_the_cap_does_bounded_work(monkeypatch):
+    # the labels are counted, not listed, past the cap, so the work is
+    # bounded by the cap, not by the 89,134 partitions of 45
+    from nilquiver import residues
+
+    calls = []
+    real = residues.chain_fillable
+
+    def counted(remaining, vertex):
+        calls.append(vertex)
+        return real(remaining, vertex)
+
+    monkeypatch.setattr(residues, "chain_fillable", counted)
+    with pytest.raises(ValueError, match="cap of 1000$"):
+        enumerate_striped(1, DimensionVector(0, (45,)), max_count=1000)
+    assert 0 < len(calls) < 10_000
+
+
 def test_striped_label_is_a_bijection_at_fixed_signature():
+    # on the oracle's striped bipartitions: enumerate_striped is built from
+    # the labels, so its own list would make this circular
     for ell in (1, 2):
         for main in itertools.product(range(3), repeat=ell):
             xi = DimensionVector(0, main)
-            striped = enumerate_striped(ell, xi)
+            striped = striped_bipartitions(ell, xi)
             labels = {striped_label(s) for s in striped}
             assert len(labels) == len(striped)
             for label in labels:
@@ -279,10 +301,10 @@ def test_striped_from_label_roundtrip():
 
 def searched_preimages(ell, n):
     """Oracle for ``striped_from_label``: the fibre search, run for a whole
-    cone at once, giving each label's first striped bipartition in
-    enumeration order."""
+    cone at once over the independent ``striped_bipartitions``, giving each
+    label's first striped bipartition in enumeration order."""
     first = {}
-    for s in enumerate_striped(ell, delta(ell, n)):
+    for s in striped_bipartitions(ell, delta(ell, n)):
         first.setdefault(striped_label(s), s)
     return first
 
