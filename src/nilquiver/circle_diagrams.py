@@ -246,9 +246,11 @@ def bounded_circle_diagrams(
     offset (-v mod ell) + x*ell, so the second bound is a length cap too,
     one per start block.  The diagrams are the fills of
     :func:`~nilquiver.residues.chain_fills` with these per-block caps, the
-    search that also fills the orbit labels; both bounds apply inside the
+    search that also fills the orbit labels.  Both bounds apply inside the
     search, so more than ``DEFAULT_ENUMERATION_CAP`` diagrams that meet
-    them raise its ``ValueError``.
+    them raise its ``ValueError``; without a bound that cap also bounds the
+    choices tried, but a bound can leave a choice with no diagram, and then
+    only the number of choices tried bounds the work.
     """
     if d.ell != ell:
         raise ValueError("dimension vector has the wrong cycle length")
@@ -262,9 +264,7 @@ def bounded_circle_diagrams(
         for v in range(ell)
     )
     _, fills = chain_fills(ell, caps)
-    diagrams = [
-        CircleDiagram.from_multipartition(Multipartition(fill)) for fill in fills(d.main, 0)
-    ]
+    diagrams = [CircleDiagram.from_multipartition(nu) for nu in fills(d.main, 0)]
     return sorted(diagrams, key=lambda c: c.circles)
 
 

@@ -219,23 +219,26 @@ def chain_fills(ell: int, caps: tuple[int, ...], max_count: int = DEFAULT_ENUMER
     copies of one length are taken in one loop, so the search nests once
     per distinct length, never once per chain.
 
-    Each state (remainder, vertex) lists its choices, pairs (chain lengths
-    at the vertex as one shared ``Partition``, rest), once.  The count
-    comes first: ``tally`` sums the counts of the rests over those choices,
-    memoized per state and stopped at ``max_count + 1``, so it never lists
-    a fill.  ``fills`` raises ``ValueError`` from the state's count before
-    it builds a list longer than ``max_count``, and then builds the list
-    from the same choices, memoized per state from vertex 1 onward.
+    Each state (remainder, vertex) generates its choices, pairs (chain
+    lengths at the vertex as one shared ``Partition``, rest), once, inside
+    ``tally``: it records each choice as it adds the count of the rest, and
+    stops once the sum passes ``max_count``.  Where no cap binds, each
+    choice completes to some fill, so at most ``max_count + 1`` are tried;
+    where one binds, a choice can complete to no fill, and only the number
+    of choices tried bounds the work.  ``fills`` raises ``ValueError`` from
+    the state's count past ``max_count``, else builds the list from the
+    recorded choices, memoized per state; from vertex 0 it returns shared
+    ``Multipartition`` objects, built once per remainder.
     """
     done = ((0,) * ell, ell)
     choice_lists: dict[tuple[tuple[int, ...], int], list[tuple[Partition, tuple[int, ...]]]] = {}
     counts: dict[tuple[tuple[int, ...], int], int] = {done: 1}
-    tails: dict[tuple[tuple[int, ...], int], list[tuple[Partition, ...]]] = {done: [()]}
+    tails: dict[tuple[tuple[int, ...], int], list] = {done: [()]}
     partitions: dict[tuple[int, ...], Partition] = {}
     runs: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def collect(vertex, remaining, total, cap, acc, out) -> None:
-        """Append (lengths, rest) for every chain multiset at vertex with
+    def collect(vertex, remaining, total, cap, acc):
+        """Yield (lengths, rest) for every chain multiset at vertex with
         lengths at most cap that leaves a rest fillable from vertex + 1,
         largest lengths first and acc itself last."""
         for length in range(min(cap, total), 0, -1):
@@ -248,45 +251,42 @@ def chain_fills(ell: int, caps: tuple[int, ...], max_count: int = DEFAULT_ENUMER
                     break
                 rests.append(rest)
             for k in range(len(rests) - 1, 0, -1):
-                collect(vertex, rests[k], total - k * length, length - 1, acc + (length,) * k, out)
+                yield from collect(
+                    vertex, rests[k], total - k * length, length - 1, acc + (length,) * k
+                )
         if chain_fillable(remaining, vertex + 1):
             lengths = partitions.get(acc)
             if lengths is None:
                 # acc is weakly decreasing and positive by construction
                 lengths = partitions[acc] = Partition._built(acc)
-            out.append((lengths, remaining))
-
-    def choices(remaining: tuple[int, ...], vertex: int):
-        found = choice_lists.get((remaining, vertex))
-        if found is None:
-            found = choice_lists[(remaining, vertex)] = []
-            collect(vertex, remaining, sum(remaining), caps[vertex], (), found)
-        return found
+            yield lengths, remaining
 
     def tally(remaining: tuple[int, ...], vertex: int) -> int:
         found = counts.get((remaining, vertex))
         if found is None:
             found = 0
-            for _, rest in choices(remaining, vertex):
-                found += tally(rest, vertex + 1)
+            tried = choice_lists[(remaining, vertex)] = []
+            for choice in collect(vertex, remaining, sum(remaining), caps[vertex], ()):
+                tried.append(choice)
+                found += tally(choice[1], vertex + 1)
                 if found > max_count:
                     found = max_count + 1
                     break
             counts[(remaining, vertex)] = found
         return found
 
-    def fills(remaining: tuple[int, ...], vertex: int) -> list[tuple[Partition, ...]]:
+    def fills(remaining: tuple[int, ...], vertex: int) -> list:
         found = tails.get((remaining, vertex))
         if found is None:
             if tally(remaining, vertex) > max_count:
                 raise ValueError(f"enumeration exceeds the cap of {max_count}")
             found = []
-            for lengths, rest in choices(remaining, vertex):
+            for lengths, rest in choice_lists[(remaining, vertex)]:
                 head = (lengths,)
                 found.extend([head + tail for tail in fills(rest, vertex + 1)])
-            # a caller keeps the vertex-0 fills it needs again
-            if vertex:
-                tails[(remaining, vertex)] = found
+            if not vertex:
+                found = [Multipartition(fill) for fill in found]
+            tails[(remaining, vertex)] = found
         return found
 
     return tally, fills
@@ -338,20 +338,19 @@ def _orbit_labels(main: tuple[int, ...], max_count: int) -> list[OrbitLabel]:
     main - column_residue(lam) is filled with chains by
     :func:`chain_fills`, whose caps sum(main) never bind: component v of nu
     lists the chain lengths at vertex v.  The fills come largest lengths
-    tuple first, so the labels come out sorted, without a sort.  Every
-    deficit's list of multipartitions is built once and shared, as the same
-    objects, by all partitions that leave it.
+    tuple first, so the labels come out sorted, without a sort, and the
+    partitions that leave one deficit share its memoized multipartitions.
 
     The labels are counted before any is listed: the walk sums the fill
-    counts of the deficits (memoized, and stopped past the cap, by
-    ``chain_fills``) and raises ``ValueError`` as soon as the sum passes
-    ``max_count``.  So the error is raised exactly when there are more
-    than ``max_count`` labels (``max_count`` labels are returned whole),
-    and before a single label is built.  Chains of length 1 fill any
-    deficit, so every admissible partition adds at least one label, and
-    the walk stops within ``max_count + 1`` partitions too.  The listing
-    then reads the same memoized choices, so a vector under the cap is
-    searched once.
+    counts of the deficits (generated once per state, and stopped past the
+    cap, by ``chain_fills``, whose choices all complete to labels) and
+    raises ``ValueError`` as soon as the sum passes ``max_count``.  So the
+    error is raised exactly when there are more than ``max_count`` labels
+    (``max_count`` labels are returned whole), and before a single label is
+    built.  Chains of length 1 fill any deficit, so every admissible
+    partition adds at least one label, and the walk stops within
+    ``max_count + 1`` partitions too.  The listing then reads the same
+    memoized choices, so a vector under the cap is searched once.
     """
     ell = len(main)
     tally, fills = chain_fills(ell, (sum(main),) * ell, max_count)
@@ -362,15 +361,11 @@ def _orbit_labels(main: tuple[int, ...], max_count: int) -> list[OrbitLabel]:
         if total > max_count:
             raise ValueError(f"enumeration exceeds the cap of {max_count}")
         walk.append((parts, deficit))
-    shared: dict[tuple[int, ...], list[Multipartition]] = {}
     out: list[OrbitLabel] = []
     for parts, deficit in walk:
-        nus = shared.get(deficit)
-        if nus is None:
-            nus = shared[deficit] = [Multipartition(fill) for fill in fills(deficit, 0)]
         # the walk yields weakly decreasing tuples of positive parts
         lam = Partition._built(parts)
-        out.extend([OrbitLabel(lam, nu) for nu in nus])
+        out.extend([OrbitLabel(lam, nu) for nu in fills(deficit, 0)])
     return out
 
 

@@ -232,6 +232,24 @@ def test_bounded_circle_diagrams_cap_bounds_the_output(monkeypatch):
         bounded_circle_diagrams(1, DimensionVector(0, (30,)))
 
 
+def test_bounded_circle_diagrams_over_the_cap_do_bounded_work(monkeypatch):
+    # each state's choices are generated only until their count passes the
+    # cap, not listed whole first: (0; 40) has 37,338 partitions of 40
+    capped = functools.partial(residues.chain_fills, max_count=1000)
+    monkeypatch.setattr(circle_diagrams, "chain_fills", capped)
+    calls = []
+    real = residues.chain_fillable
+
+    def counted(remaining, vertex):
+        calls.append(vertex)
+        return real(remaining, vertex)
+
+    monkeypatch.setattr(residues, "chain_fillable", counted)
+    with pytest.raises(ValueError, match="cap of 1000$"):
+        bounded_circle_diagrams(1, DimensionVector(0, (40,)))
+    assert 0 < len(calls) < 20_000
+
+
 def test_bounded_circle_diagrams_reject_a_nonpositive_block_0_bound():
     # refused up front, also where no circle would reach the bound
     for d in (DimensionVector(0, (0,)), DimensionVector(0, (2, 1))):

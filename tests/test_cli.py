@@ -88,6 +88,15 @@ def test_enumerate_orbits_over_the_cap_exits_2():
     assert err == "error: enumeration exceeds the cap of 1000000\n"
 
 
+def test_enumerate_orbits_of_many_vertices_exits_2_with_the_cap(capsys):
+    # 900 vertices nest 900 deep in the fill search, and its choices are
+    # generated lazily: the cap message, not the recursion limit
+    assert main(["enumerate-orbits", "--n", "1", "--ell", "900"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: enumeration exceeds the cap of 1000000\n"
+
+
 def test_enumerate_orbits_too_deep_exits_2(capsys):
     # a cone of 2000 vertices: a message, not a RecursionError traceback
     assert main(["enumerate-orbits", "--n", "1", "--ell", "2000"]) == 2

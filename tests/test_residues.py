@@ -246,6 +246,22 @@ def test_enumerate_orbit_labels_counts_before_listing(monkeypatch):
     assert built == []
 
 
+def test_partitions_with_one_deficit_share_their_nu_objects():
+    # the CLI keys its text cache on id(nu), so every partition that leaves
+    # a deficit must hold that deficit's own multipartitions, not copies
+    by_deficit = {}
+    labels = enumerate_orbit_labels(3, 3)
+    for lam, group in itertools.groupby(labels, key=lambda label: label.lam):
+        deficit = tuple(3 - c for c in column_residue(lam, 3).main)
+        by_deficit.setdefault(deficit, []).append([label.nu for label in group])
+    shared = [lists for lists in by_deficit.values() if len(lists) > 1]
+    assert len(shared) == 12
+    for first, *others in shared:
+        for nus in others:
+            assert len(nus) == len(first)
+            assert all(a is b for a, b in zip(nus, first))
+
+
 def test_chain_fills_share_valid_partitions():
     # the chain-length partitions the fill search builds without checks,
     # and the partitions the admissible walk yields, on the cones the
