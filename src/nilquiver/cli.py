@@ -80,12 +80,9 @@ def _cmd_enumerate(args) -> int:
         labels = [lbl for lbl in labels if lbl.lam.weight(ell) <= args.x]
     target = delta(ell, args.n).main
     ok = f"dims={DimensionVector(1, target)}  [ok]\n"
-    # every partition leaving the same deficit shares one list of nu, and
-    # the nu share their components, so the text, chains and chain vector of
-    # each component and of each nu are built once; the labels keep every
-    # nu alive, so its id() is a safe key
+    # the text, chains and chain vector of each component are built once
+    # per (vertex, parts) and joined per row
     components: dict[tuple[int, tuple[int, ...]], tuple[str, str, tuple[int, ...]]] = {}
-    shared: dict[int, tuple[str, str, tuple[int, ...]]] = {}
     rows = []
     bad = 0
     # the labels come sorted by partition first, so each partition's text,
@@ -97,24 +94,21 @@ def _cmd_enumerate(args) -> int:
         head = f"label=({lam};("
         middle = f"))  marked=[{marked}]  plain=["
         for lbl in group:
-            nu = lbl.nu
-            if id(nu) not in shared:
-                texts, plain, vector = [], [], (0,) * ell
-                for i, comp in enumerate(nu):
-                    key = (i, comp.parts)
-                    if key not in components:
-                        components[key] = (
-                            str(comp),
-                            ",".join(f"({i},{length})" for length in comp),
-                            runs_vector(((i, length) for length in comp), ell),
-                        )
-                    text, chains, summand = components[key]
-                    texts.append(text)
-                    if chains:
-                        plain.append(chains)
-                    vector = tuple(map(operator.add, vector, summand))
-                shared[id(nu)] = (",".join(texts), ",".join(plain) or "-", vector)
-            text, plain, vector = shared[id(nu)]
+            texts, plain, vector = [], [], (0,) * ell
+            for i, comp in enumerate(lbl.nu):
+                key = (i, comp.parts)
+                if key not in components:
+                    components[key] = (
+                        str(comp),
+                        ",".join(f"({i},{length})" for length in comp),
+                        runs_vector(((i, length) for length in comp), ell),
+                    )
+                text, chains, summand = components[key]
+                texts.append(text)
+                if chains:
+                    plain.append(chains)
+                vector = tuple(map(operator.add, vector, summand))
+            text, plain = ",".join(texts), ",".join(plain) or "-"
             main = tuple(map(operator.add, cres, vector))
             if main == target:
                 tail = ok

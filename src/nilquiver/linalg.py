@@ -15,12 +15,17 @@ and must stay that way.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce an int, Fraction or canonical "p/q" string to a Fraction."""
+    """Coerce an int, Fraction or rational string to a Fraction.
+
+    A string is read as ``Fraction(str)`` reads it, except that a decimal
+    exponent of magnitude past ``sys.get_int_max_str_digits()`` raises
+    ``ValueError`` instead of building a power of ten that long."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
@@ -38,6 +43,13 @@ def as_fraction(x) -> Fraction:
             if q == 0:
                 raise ValueError(f"zero denominator in {x!r}")
             return Fraction(int(num), q)
+        # Fraction(str) builds 10**exponent, so refuse an exponent past the
+        # digit bound Python puts on int(str)
+        e = max(x.rfind("e"), x.rfind("E"))
+        exponent = x[e + 1:].rstrip().lstrip("+-").replace("_", "")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+        if e >= 0 and limit and exponent.isdecimal() and int(exponent) > limit:
+            raise ValueError(f"the decimal exponent in {x[:40]!r} exceeds {limit} in magnitude")
         try:
             return Fraction(x)
         except ZeroDivisionError as exc:

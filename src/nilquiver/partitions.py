@@ -120,25 +120,27 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    def transpose(self) -> "Partition":
+    def _column_heights(self, width: int):
+        """Yield the height of column j, the number of parts longer than j,
+        for j = 0, ..., width - 1."""
         parts = self.parts
         rows = len(parts)
-        cols = []
-        # column j holds one box per part longer than j
-        for j in range(parts[0] if parts else 0):
+        for j in range(width):
             while parts[rows - 1] <= j:
                 rows -= 1
-            cols.append(rows)
-        return Partition._built(tuple(cols))
+            yield rows
+
+    def transpose(self) -> "Partition":
+        return Partition._built(tuple(self._column_heights(self[0])))
 
     def diagonal_length(self) -> int:
         """Number of boxes on the main diagonal."""
         return sum(1 for i, part in enumerate(self.parts, start=1) if part >= i)
 
     def frobenius(self) -> "FrobeniusPartition":
-        t = self.transpose()
         k = self.diagonal_length()
-        legs = tuple(t.parts[i] - (i + 1) for i in range(k))
+        # only the first k columns are read, never all self[0] of them
+        legs = tuple(h - (i + 1) for i, h in enumerate(self._column_heights(k)))
         arms = tuple(self.parts[i] - (i + 1) for i in range(k))
         return FrobeniusPartition._built(legs, arms)
 

@@ -219,32 +219,28 @@ def chain_fills(ell: int, caps: tuple[int, ...], max_count: int = DEFAULT_ENUMER
     copies of one length are taken in one loop, so the search nests once
     per distinct length, never once per chain.
 
-    Each state (remainder, vertex) generates its choices, pairs (chain
-    lengths at the vertex as one shared ``Partition``, rest), once, inside
-    ``tally``: it records each choice as it adds the count of the rest, and
-    stops once the sum passes ``max_count``.  Where no cap binds, each
-    choice completes to some fill, so at most ``max_count + 1`` are tried;
-    where one binds, a choice can complete to no fill, and only the number
-    of choices tried bounds the work.  ``fills`` raises ``ValueError`` from
-    the state's count past ``max_count``, else builds the list from the
-    recorded choices, memoized per state; from vertex 0 it returns shared
-    ``Multipartition`` objects, built once per remainder.
+    Each state (remainder, vertex) has one ``(count, choices)`` entry,
+    written by ``tally``, which generates the state's choices, pairs (chain
+    lengths at the vertex as a ``Partition``, rest), once: it records each
+    choice as it adds the count of the rest, and stops once the sum passes
+    ``max_count``.  Where no cap binds, each choice completes to some fill,
+    so at most ``max_count + 1`` are tried; where one binds, a choice can
+    complete to no fill, and only the number of choices tried bounds the
+    work.  ``fills`` raises ``ValueError`` from the state's count past
+    ``max_count``, else builds the list from the recorded choices,
+    memoized per state; from vertex 0 it returns ``Multipartition``
+    objects.
     """
     done = ((0,) * ell, ell)
-    choice_lists: dict[tuple[tuple[int, ...], int], list[tuple[Partition, tuple[int, ...]]]] = {}
-    counts: dict[tuple[tuple[int, ...], int], int] = {done: 1}
+    tallies: dict[tuple[tuple[int, ...], int], tuple[int, list]] = {done: (1, [])}
     tails: dict[tuple[tuple[int, ...], int], list] = {done: [()]}
-    partitions: dict[tuple[int, ...], Partition] = {}
-    runs: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def collect(vertex, remaining, total, cap, acc):
         """Yield (lengths, rest) for every chain multiset at vertex with
         lengths at most cap that leaves a rest fillable from vertex + 1,
         largest lengths first and acc itself last."""
         for length in range(min(cap, total), 0, -1):
-            step = runs.get((vertex, length))
-            if step is None:
-                step = runs[(vertex, length)] = run_vector(vertex, length, ell)
+            step = run_vector(vertex, length, ell)
             rests = [remaining]  # rests[k]: the remainder after k copies
             while min(rest := tuple(map(operator.sub, rests[-1], step))) >= 0:
                 if not chain_fillable(rest, vertex):
@@ -255,25 +251,22 @@ def chain_fills(ell: int, caps: tuple[int, ...], max_count: int = DEFAULT_ENUMER
                     vertex, rests[k], total - k * length, length - 1, acc + (length,) * k
                 )
         if chain_fillable(remaining, vertex + 1):
-            lengths = partitions.get(acc)
-            if lengths is None:
-                # acc is weakly decreasing and positive by construction
-                lengths = partitions[acc] = Partition._built(acc)
-            yield lengths, remaining
+            # acc is weakly decreasing and positive by construction
+            yield Partition._built(acc), remaining
 
     def tally(remaining: tuple[int, ...], vertex: int) -> int:
-        found = counts.get((remaining, vertex))
-        if found is None:
+        entry = tallies.get((remaining, vertex))
+        if entry is None:
             found = 0
-            tried = choice_lists[(remaining, vertex)] = []
+            tried = []
             for choice in collect(vertex, remaining, sum(remaining), caps[vertex], ()):
                 tried.append(choice)
                 found += tally(choice[1], vertex + 1)
                 if found > max_count:
                     found = max_count + 1
                     break
-            counts[(remaining, vertex)] = found
-        return found
+            entry = tallies[(remaining, vertex)] = (found, tried)
+        return entry[0]
 
     def fills(remaining: tuple[int, ...], vertex: int) -> list:
         found = tails.get((remaining, vertex))
@@ -281,7 +274,7 @@ def chain_fills(ell: int, caps: tuple[int, ...], max_count: int = DEFAULT_ENUMER
             if tally(remaining, vertex) > max_count:
                 raise ValueError(f"enumeration exceeds the cap of {max_count}")
             found = []
-            for lengths, rest in choice_lists[(remaining, vertex)]:
+            for lengths, rest in tallies[(remaining, vertex)][1]:
                 head = (lengths,)
                 found.extend([head + tail for tail in fills(rest, vertex + 1)])
             if not vertex:
@@ -338,12 +331,14 @@ def _orbit_labels(main: tuple[int, ...], max_count: int) -> list[OrbitLabel]:
     main - column_residue(lam) is filled with chains by
     :func:`chain_fills`, whose caps sum(main) never bind: component v of nu
     lists the chain lengths at vertex v.  The fills come largest lengths
-    tuple first, so the labels come out sorted, without a sort, and the
-    partitions that leave one deficit share its memoized multipartitions.
+    tuple first, so the labels come out sorted, without a sort, and each
+    deficit's multipartitions are listed once, however many partitions
+    leave it.
 
     The labels are counted before any is listed: the walk sums the fill
-    counts of the deficits (generated once per state, and stopped past the
-    cap, by ``chain_fills``, whose choices all complete to labels) and
+    counts of the deficits (``chain_fills`` keeps one count-and-choices
+    entry per state, its choices generated once and stopped past the cap,
+    and here every choice completes to labels) and
     raises ``ValueError`` as soon as the sum passes ``max_count``.  So the
     error is raised exactly when there are more than ``max_count`` labels
     (``max_count`` labels are returned whole), and before a single label is

@@ -208,6 +208,40 @@ def test_decompose_rejects_zero_denominator():
     assert "error" in err and "1/0" in err and "Traceback" not in err
 
 
+def test_decompose_refuses_a_huge_exponent_at_once():
+    # Fraction("1e999999999") would build a billion-digit power of ten
+    rep = {
+        "ell": 1,
+        "dims": {"framing": 1, "main": [1]},
+        "maps": [[["0"]]],
+        "framing_vector": ["1e999999999"],
+    }
+    code, _, err = run_cli(["decompose", "--input", "-"], json.dumps(rep), timeout=20)
+    assert code == 2
+    assert err == "error: the decimal exponent in '1e999999999' exceeds 4300 in magnitude\n"
+
+
+@pytest.mark.parametrize(
+    "target, want",
+    [
+        ("johnson", '{"epsilon": [0], "lambda": [300000000], "nu": [1]}\n'),
+        ("ah", '{"mu": [1], "nu": [299999999]}\n'),
+    ],
+    ids=["johnson", "ah"],
+)
+def test_translate_a_huge_part_builds_no_transpose(target, want, monkeypatch, capsys):
+    # the Frobenius legs are read off the parts, so a part of 3e8 boxes
+    # costs no column list of that length
+    def refuse(self):
+        raise AssertionError("transpose called")
+
+    monkeypatch.setattr(Partition, "transpose", refuse)
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"lambda":[300000000],"nu":[[]]}'))
+    args = ["translate", "--from", "label", "--to", target, "--input", "-"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_decompose_rejects_malformed_json():
     code, _, err = run_cli(["decompose", "--input", "-"], "{nope")
     assert code == 2

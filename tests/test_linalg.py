@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -237,9 +239,17 @@ def test_public_constructor_still_coerces_and_validates():
         RationalMatrix(((1, 2),), 3)
 
 
+EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
 def fraction_or_error(text):
     """Fraction(text), or ValueError when it refuses the text (a zero
-    denominator, which it reports as ZeroDivisionError, included)."""
+    denominator, which it reports as ZeroDivisionError, included) or when
+    the text's decimal exponent exceeds the int(str) digit bound in
+    magnitude, which as_fraction refuses before Fraction builds the power."""
+    exponent = EXPONENT.search(text)
+    if exponent and int(exponent[1].replace("_", "")) > sys.get_int_max_str_digits():
+        return ValueError
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -262,12 +272,16 @@ STRING_CORPUS = [
     "1.5", "-.5", "1.", ".", "1e3", "1E-2", "2/3e1", "1/2/3", "0x10", "inf", "nan", "1j",
     "\u0663", "1\u0663/2", "\u00b2", "\uff11", "\u22121", "1/\u0662",
     str(3**189), "-" + str(2**300 - 1), f"{2**300 + 1}/{3**190}", f"-{2**299}/{2**300}",
+    "1e4300", "1e-4300", "1.5E+4300 ", "1e4301", "1e-4301", "1.5E+4_301 ", "1e999999999",
+    "-1e-999999999", "1/2e999999999", "1e 999999999",
 ]
 
 
 def test_as_fraction_agrees_with_fraction_on_strings():
     # the integer fast path and Fraction(str) accept and reject the same
-    # strings and give the same values; a zero denominator is a ValueError
+    # strings and give the same values; a zero denominator is a ValueError,
+    # and so is an exponent past the int(str) digit bound (seed 44 draws 18
+    # that Fraction accepts, such as '8E6725')
     for text in STRING_CORPUS:
         assert as_fraction_or_error(text) == fraction_or_error(text), repr(text)
     rng = random.Random(44)

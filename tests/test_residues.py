@@ -247,8 +247,8 @@ def test_enumerate_orbit_labels_counts_before_listing(monkeypatch):
 
 
 def test_partitions_with_one_deficit_share_their_nu_objects():
-    # the CLI keys its text cache on id(nu), so every partition that leaves
-    # a deficit must hold that deficit's own multipartitions, not copies
+    # each deficit's multipartitions are listed once, by the fills memo, and
+    # every partition that leaves that deficit holds those same objects
     by_deficit = {}
     labels = enumerate_orbit_labels(3, 3)
     for lam, group in itertools.groupby(labels, key=lambda label: label.lam):
