@@ -257,6 +257,12 @@ def _parse_diagram(text: str):
     return from_dot(text) if text.lstrip().startswith("digraph") else diagram_from_json(json.loads(text))
 
 
+#: The most boxes ``render --partition`` draws: every format writes a few
+#: bytes per box, so a short argument such as "[300000000]" must not buy
+#: hundreds of megabytes of output.
+RENDER_MAX_BOXES = 100_000
+
+
 def _cmd_render(args) -> int:
     if (args.partition is None) == (args.diagram is None):
         raise ValueError("exactly one of --partition and --diagram is required")
@@ -264,6 +270,10 @@ def _cmd_render(args) -> int:
         raise ValueError("need ell >= 1")
     if args.partition is not None:
         lam = Partition.from_text(args.partition)
+        if lam.size > RENDER_MAX_BOXES:
+            raise ValueError(
+                f"the partition has {lam.size} boxes; render draws at most {RENDER_MAX_BOXES}"
+            )
         print(_render_partition(lam, args.ell, args.format))
         return 0
     diagram = _read_payload(args.diagram, _parse_diagram)

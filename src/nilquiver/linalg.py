@@ -1,11 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Everything in this module is exact: entries are :class:`fractions.Fraction`
-values, and ranks, products and inverses run in integer arithmetic after
-clearing denominators row by row.  Ranks come from fraction-free (Bareiss)
-elimination, inverses from its Gauss-Jordan form (Bareiss, Math. Comp. 22,
-1968), and products sum integer multiples of the cleared rows, skipping
-zero terms; each result entry is divided back into a ``Fraction`` once.
+values, and ranks, products and inverses run in integer arithmetic.  Ranks
+come from fraction-free (Bareiss) elimination on rows cleared of their
+denominators one by one.  Products and inverses share one private integer
+kernel: ``_common`` writes a matrix as integers over one denominator,
+``_product`` multiplies integer matrices summing only the nonzero terms of
+the right factor, and ``_inverse`` runs fraction-free Gauss-Jordan
+elimination (Bareiss, Math. Comp. 22, 1968) to return (H, p) with
+g^-1 = H / p.  ``RationalMatrix.__matmul__`` and ``inverse`` call the
+kernel and divide each result entry back into a ``Fraction`` once;
+``rep_builder``'s base changes call it directly, so a triple product
+g M g^-1 builds its ``Fraction`` entries only at the end.
 ``rref`` and ``nullspace`` (exact ``Fraction`` Gauss-Jordan reduction) have
 no caller in the package: they serve the test oracles and the benchmark's
 tracer, which wraps them by name.  There are no
@@ -68,6 +74,52 @@ def _cleared(row) -> tuple[list[int], int]:
     denominators: ``row[j] == nums[j] / den``."""
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def _common(rows) -> tuple[list[list[int]], int]:
+    """Rows of Fractions as integer numerators over one denominator e, the
+    lcm of all their denominators: ``rows[i][j] == nums[i][j] / e``."""
+    e = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (e // x.denominator) for x in row] for row in rows], e
+
+
+def _product(a: list[list[int]], b: list[list[int]], ncols: int) -> list[list[int]]:
+    """The integer product a b, b having ncols columns: each row of a sums
+    integer multiples of the nonzero terms of the rows of b it meets."""
+    terms = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * ncols
+        for c, row_terms in zip(row, terms):
+            if c:
+                for j, x in row_terms:
+                    acc[j] += c * x
+        out.append(acc)
+    return out
+
+
+def _inverse(g: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(H, p) with g^-1 = H / p for a square integer matrix g; a singular g
+    raises ``ValueError``.
+
+    Fraction-free Gauss-Jordan elimination on [g | I] divides exactly at
+    every step and ends at [p I | H], p the last pivot (det g up to sign)."""
+    n = len(g)
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        m[k], m[pivot] = m[pivot], m[k]
+        mk = m[k]
+        lead = mk[k]
+        for i in range(n):
+            head = m[i][k]
+            if i != k and (head or lead != prev):
+                m[i] = [(a * lead - head * b) // prev for a, b in zip(m[i], mk)]
+        prev = lead
+    return [row[n:] for row in m], prev
 
 
 class RationalMatrix:
@@ -144,22 +196,14 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        # other = N / e with N integer: each row cleared, then brought to the
-        # common denominator e, keeping only its nonzero entries
-        cleared = [_cleared(row) for row in other.rows]
-        e = lcm(*(d for _, d in cleared))
-        terms = [[(j, x * (e // d)) for j, x in enumerate(nums) if x] for nums, d in cleared]
-        rows = []
-        for row in self.rows:
-            nums, d = _cleared(row)
-            acc = [0] * other.ncols
-            for c, row_terms in zip(nums, terms):
-                if c:
-                    for j, x in row_terms:
-                        acc[j] += c * x
-            den = d * e
-            rows.append(tuple(Fraction(x, den) for x in acc))
-        return RationalMatrix._built(tuple(rows), other.ncols)
+        # self = A / d and other = B / e, so self @ other = A B / (d e)
+        a, d = _common(self.rows)
+        b, e = _common(other.rows)
+        den = d * e
+        return RationalMatrix._built(
+            tuple(tuple(Fraction(x, den) for x in row) for row in _product(a, b, other.ncols)),
+            other.ncols,
+        )
 
     def apply(self, vec: tuple) -> tuple[Fraction, ...]:
         """Matrix times column vector."""
@@ -234,31 +278,11 @@ class RationalMatrix:
     def inverse(self) -> "RationalMatrix":
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return RationalMatrix((), 0)
-        # fraction-free Gauss-Jordan on [D g | I], D the diagonal of row
-        # denominators, divides exactly at every step and ends at
-        # [p I | p (D g)^-1], p the last pivot (det D g up to sign); then
-        # g^-1 = (D g)^-1 D
-        cleared = [_cleared(row) for row in self.rows]
-        m = [nums + [int(i == j) for j in range(n)] for i, (nums, _) in enumerate(cleared)]
-        prev = 1
-        for k in range(n):
-            pivot = next((i for i in range(k, n) if m[i][k]), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            m[k], m[pivot] = m[pivot], m[k]
-            mk = m[k]
-            lead = mk[k]
-            for i in range(n):
-                head = m[i][k]
-                if i != k and (head or lead != prev):
-                    m[i] = [(a * lead - head * b) // prev for a, b in zip(m[i], mk)]
-            prev = lead
-        dens = [d for _, d in cleared]
+        # self = G / e, so self^-1 = e G^-1 = e H / p
+        g, e = _common(self.rows)
+        h, p = _inverse(g)
         return RationalMatrix._built(
-            tuple(tuple(Fraction(x * d, prev) for x, d in zip(row[n:], dens)) for row in m), n
+            tuple(tuple(Fraction(x * e, p) for x in row) for row in h), self.ncols
         )
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:

@@ -10,14 +10,15 @@ Conventions used throughout the package:
 * Frobenius coordinates are stored 0-indexed: the (i+1)-st diagonal box has
   ``legs[i]`` boxes below it and ``arms[i]`` boxes to its right.
 
-Where values are checked: the public constructors of :class:`Partition`
-and :class:`FrobeniusPartition` coerce and validate their fields, so data
-from outside the program (JSON, CLI text, user lists) always goes through
-them.  A value computed from one that was already validated (a transpose,
-Frobenius coordinates, the chain lengths of the fill search, the hooks of
-a marked diagram in ``circle_diagrams``) is built by a private ``_built``
-constructor instead, which stores fields that are valid by construction
-without checking them again.
+Where values are checked: the public constructors of :class:`Partition`,
+:class:`FrobeniusPartition` and :class:`Multipartition` coerce and validate
+their fields, so data from outside the program (JSON, CLI text, user lists)
+always goes through them.  A value computed from one that was already
+validated (a transpose, Frobenius coordinates, the chain lengths and the
+vertex-0 fills of the fill search, the hooks of a marked diagram in
+``circle_diagrams``) is built by a private ``_built`` constructor instead,
+which stores fields that are valid by construction without checking them
+again.
 """
 
 from __future__ import annotations
@@ -234,7 +235,10 @@ class Bipartition:
 
 @dataclass(frozen=True, slots=True)
 class Multipartition:
-    """A fixed-length tuple of partitions."""
+    """A fixed-length tuple of partitions.
+
+    The constructor checks its components; ``_built`` takes a tuple of
+    partitions that is already valid."""
 
     components: tuple[Partition, ...]
 
@@ -245,6 +249,14 @@ class Multipartition:
         if not all(isinstance(c, Partition) for c in components):
             raise ValueError("components must be Partition values")
         object.__setattr__(self, "components", components)
+
+    @classmethod
+    def _built(cls, components: tuple[Partition, ...]) -> "Multipartition":
+        """A nonempty tuple of ``Partition`` values built here, taken
+        without checking it again."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "components", components)
+        return m
 
     @classmethod
     def empty(cls, ell: int) -> "Multipartition":

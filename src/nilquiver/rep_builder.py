@@ -28,10 +28,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circle_diagrams import frobenius_diagram_of_partition
-from .linalg import RationalMatrix, as_fraction, block_diag, fraction_str
+from .linalg import (
+    RationalMatrix,
+    _common,
+    _inverse,
+    _product,
+    as_fraction,
+    block_diag,
+    fraction_str,
+)
 from .orbit_maps import StripedBipartition
 from .partitions import Multipartition, Partition, json_int
 from .residues import DimensionVector, OrbitLabel, dim_framed
+
+
+#: The entries of the 0/1 normal forms, shared by every matrix built here.
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _json_list(data, what: str) -> list:
@@ -161,23 +173,23 @@ def _assemble(ell: int, chains: list[tuple[int, int, int | None]], framed: bool)
             counts[vertex] += 1
 
     entries: list[list[list[Fraction]]] = [
-        [[Fraction(0)] * counts[i] for _ in range(counts[(i + 1) % ell])] for i in range(ell)
+        [[_ZERO] * counts[i] for _ in range(counts[(i + 1) % ell])] for i in range(ell)
     ]
     for c, (start, length, _) in enumerate(chains):
         for k in range(length - 1):
             vertex = (start + k) % ell
-            entries[vertex][position[(c, k + 1)]][position[(c, k)]] = Fraction(1)
+            entries[vertex][position[(c, k + 1)]][position[(c, k)]] = _ONE
     maps = tuple(
-        RationalMatrix(tuple(tuple(row) for row in entries[i]), counts[i]) for i in range(ell)
+        RationalMatrix._built(tuple(map(tuple, entries[i])), counts[i]) for i in range(ell)
     )
 
     if framed:
-        fv = [Fraction(0)] * counts[0]
+        fv = [_ZERO] * counts[0]
         for c, (start, length, mark) in enumerate(chains):
             if mark is not None:
                 if (start + mark) % ell:
                     raise AssertionError("marked vertex must sit in block 0")
-                fv[position[(c, mark)]] += 1
+                fv[position[(c, mark)]] = _ONE
         dims = DimensionVector(1, tuple(counts))
         return QuiverRep(ell, dims, maps, tuple(fv))
     dims = DimensionVector(0, tuple(counts))
@@ -233,16 +245,16 @@ def build_framed_jordan(mu: Partition, nu: Partition) -> QuiverRep:
     if any(a < b for a, b in zip(rows, rows[1:])):
         raise ValueError("mu + nu must be weakly decreasing")
     n = sum(rows)
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    fv = [Fraction(0)] * n
+    entries = [[_ZERO] * n for _ in range(n)]
+    fv = [_ZERO] * n
     offset = 0
     for i in range(k):
         for j in range(2, rows[i] + 1):
-            entries[offset + j - 2][offset + j - 1] = Fraction(1)
+            entries[offset + j - 2][offset + j - 1] = _ONE
         if mu[i] >= 1:
-            fv[offset + mu[i] - 1] += 1
+            fv[offset + mu[i] - 1] = _ONE
         offset += rows[i]
-    x = RationalMatrix(tuple(tuple(r) for r in entries), n)
+    x = RationalMatrix._built(tuple(map(tuple, entries)), n)
     return QuiverRep(1, DimensionVector(1, (n,)), (x,), tuple(fv))
 
 
@@ -269,9 +281,9 @@ def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
     dims = a.dims + b.dims
     maps = tuple(block_diag(ma, mb) for ma, mb in zip(a.maps, b.maps))
     if a.framed:
-        fv = a.framing_vector + (Fraction(0),) * b.dims.main[0]
+        fv = a.framing_vector + (_ZERO,) * b.dims.main[0]
     elif b.framed:
-        fv = (Fraction(0),) * a.dims.main[0] + b.framing_vector
+        fv = (_ZERO,) * a.dims.main[0] + b.framing_vector
     else:
         fv = ()
     return QuiverRep(a.ell, dims, maps, fv)
@@ -283,36 +295,67 @@ def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
 
 
 def conjugate(rep: QuiverRep, transforms: list[RationalMatrix]) -> QuiverRep:
-    """Apply an invertible base change g_i at every vertex."""
+    """Apply an invertible base change g_i at every vertex: the arrow M_i
+    becomes g_{i+1} M_i g_i^-1 and the framing vector v becomes g_0 v."""
     if len(transforms) != rep.ell:
         raise ValueError("one transform per vertex is required")
-    return _conjugate(rep, transforms, [g.inverse() for g in transforms])
+    changes = []
+    for i, (g, d) in enumerate(zip(transforms, rep.dims.main)):
+        if g.shape != (d, d):
+            raise ValueError(f"transform {i} has shape {g.shape}, expected {(d, d)}")
+        nums, e = _common(g.rows)
+        changes.append((nums, e, *_inverse(nums)))
+    return _conjugate(rep, changes)
 
 
-def _conjugate(rep: QuiverRep, transforms, inverses) -> QuiverRep:
-    """g_{i+1} M_i g_i^-1 at every arrow and g_0 v, given each g_i^-1."""
-    maps = tuple(
-        transforms[(i + 1) % rep.ell] @ rep.maps[i] @ inverses[i] for i in range(rep.ell)
-    )
-    fv = tuple(transforms[0].apply(rep.framing_vector)) if rep.framed else ()
-    return QuiverRep(rep.ell, rep.dims, maps, fv)
+def _conjugate(rep: QuiverRep, changes) -> QuiverRep:
+    """The base change given at each vertex as (G, e, H, p), where
+    g = G / e and g^-1 = e H / p with G and H integer.
+
+    Each arrow g_{i+1} M_i g_i^-1 is one integer triple product
+    G_{i+1} A H_i over M_i = A / c, divided once per entry by
+    e_{i+1} c p_i / e_i; g_0 v is G_0 w over v = w / c, divided by e_0 c."""
+    ell = rep.ell
+    maps = []
+    for i, m in enumerate(rep.maps):
+        g, e_next = changes[(i + 1) % ell][:2]
+        _, e, h, p = changes[i]
+        a, c = _common(m.rows)
+        product = _product(_product(g, a, m.ncols), h, m.ncols)
+        den = e_next * c * p
+        maps.append(
+            RationalMatrix._built(
+                tuple(tuple(Fraction(x * e, den) for x in row) for row in product), m.ncols
+            )
+        )
+    fv = ()
+    if rep.framed:
+        g, e = changes[0][:2]
+        (w,), c = _common((rep.framing_vector,))
+        fv = tuple(Fraction(sum(x * y for x, y in zip(row, w)), e * c) for row in g)
+    return QuiverRep(ell, rep.dims, tuple(maps), fv)
 
 
-def _invertible_draw(n: int, rng) -> tuple[RationalMatrix, RationalMatrix]:
-    """A random invertible integer matrix with small entries, and its
-    inverse: one elimination both inverts a draw and rejects a singular one."""
-    if n == 0:
-        empty = RationalMatrix.zero(0, 0)
-        return empty, empty
+def _invertible_draw(n: int, rng) -> tuple[list[list[int]], list[list[int]], int]:
+    """A random invertible n x n integer matrix G with entries in [-2, 2],
+    drawn row by row, and (H, p) with G^-1 = H / p: one fraction-free
+    elimination both inverts a draw and rejects a singular one, which is
+    drawn again."""
     while True:
-        rows = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
-        m = RationalMatrix(rows, n)
+        g = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         try:
-            return m, m.inverse()
+            return (g, *_inverse(g))
         except ValueError:  # singular: draw again
             pass
 
 
 def random_base_change(rep: QuiverRep, rng) -> QuiverRep:
-    transforms, inverses = zip(*(_invertible_draw(d, rng) for d in rep.dims.main))
-    return _conjugate(rep, transforms, inverses)
+    """The representation under a random integer base change at every
+    vertex, drawn in vertex order by ``_invertible_draw``.
+
+    Each inverse stays an integer matrix H over one integer p, and each
+    arrow is one integer triple product G M H divided once per entry, so
+    the inverse is never materialised as ``Fraction``s."""
+    return _conjugate(
+        rep, [(g, 1, h, p) for g, h, p in (_invertible_draw(d, rng) for d in rep.dims.main)]
+    )

@@ -278,7 +278,7 @@ def chain_fills(ell: int, caps: tuple[int, ...], max_count: int = DEFAULT_ENUMER
                 head = (lengths,)
                 found.extend([head + tail for tail in fills(rest, vertex + 1)])
             if not vertex:
-                found = [Multipartition(fill) for fill in found]
+                found = [Multipartition._built(fill) for fill in found]
             tails[(remaining, vertex)] = found
         return found
 

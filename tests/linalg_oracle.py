@@ -1,11 +1,13 @@
 """The ``Fraction`` product and inverse routes, kept as test oracles.
 
 ``RationalMatrix.__matmul__`` and ``RationalMatrix.inverse`` run in integer
-arithmetic on rows cleared of their denominators.  This module keeps the
-routes they replaced: the dense product that sums every ``Fraction`` pair,
-zeros included, and the inverse read off the ``Fraction`` reduced row
-echelon form of [g | I].  ``conjugate`` is the base change of
-``rep_builder.conjugate`` built from these two.  ``random_invertible`` is
+arithmetic on rows cleared of their denominators, and ``rep_builder``'s
+base changes form each arrow as one integer triple product on the same
+kernel.  This module keeps the routes they replaced: the dense product that
+sums every ``Fraction`` pair, zeros included, and the inverse read off the
+``Fraction`` reduced row echelon form of [g | I].  ``conjugate`` is the
+base change of ``rep_builder.conjugate`` built from these two, as two
+``Fraction`` products per arrow.  ``random_invertible`` is
 the draw ``random_base_change`` makes at one vertex, and
 ``rank_tested_invertible`` draws as it did before each draw was tested by
 its inverse: a singular draw is found by its rank.
@@ -70,4 +72,4 @@ def rank_tested_invertible(n: int, rng) -> RationalMatrix:
 
 def random_invertible(n: int, rng) -> RationalMatrix:
     """The matrix ``random_base_change`` draws at a vertex of dimension n."""
-    return _invertible_draw(n, rng)[0]
+    return RationalMatrix(_invertible_draw(n, rng)[0], n)

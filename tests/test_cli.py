@@ -336,6 +336,22 @@ def test_render_partition(capsys):
     assert out.startswith("\\begin{ytableau}") and out.strip().endswith("\\end{ytableau}")
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "dot", "latex-ytableau"])
+def test_render_refuses_a_huge_partition_at_once(fmt):
+    # a 13-byte argument would otherwise buy 600 MB of ASCII boxes
+    args = ["render", "--partition", "[300000000]", "--ell", "3", "--format", fmt]
+    code, out, err = run_cli(args, timeout=20)
+    assert (code, out) == (2, "")
+    assert err == "error: the partition has 300000000 boxes; render draws at most 100000\n"
+
+
+def test_render_draws_a_partition_at_the_box_bound(capsys):
+    assert main(["render", "--partition", "[50000,50000]", "--format", "ascii"]) == 0
+    assert capsys.readouterr().out == ("[]" * 50000 + "\n") * 2
+    assert main(["render", "--partition", "[50000,50000,1]", "--format", "ascii"]) == 2
+    assert "render draws at most 100000" in capsys.readouterr().err
+
+
 def test_render_diagram_dot_parses_back(tmp_path):
     from nilquiver import from_dot
 

@@ -223,6 +223,41 @@ def test_inverse_edge_cases():
         RationalMatrix.zero(2, 3).inverse()
 
 
+def row_denominator_matrix(rng, nrows, ncols):
+    """Seeded entries whose rows sit over different denominators, so that
+    clearing a row and bringing rows to one denominator differ."""
+    dens = [DENOMINATORS[(i + rng.randrange(9)) % 9] * (i + 1) for i in range(nrows)]
+    return RationalMatrix(
+        tuple(tuple(Fraction(rng.randint(-9, 9), d) for _ in range(ncols)) for d in dens), ncols
+    )
+
+
+def test_kernel_matches_the_oracles_on_rows_of_different_denominators():
+    # the integer product and the Bareiss inverse against the Fraction
+    # routes they replaced, empty shapes included
+    rng = random.Random(47)
+    for r, k, c in ((0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 3), (3, 0, 0), (0, 0, 0), (4, 5, 3)):
+        a, b = row_denominator_matrix(rng, r, k), row_denominator_matrix(rng, k, c)
+        assert a @ b == dense_product(a, b) and (a @ b).shape == (r, c)
+    for r, c in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError, match="non-square"):
+            row_denominator_matrix(rng, r, c).inverse()
+    inverted = 0
+    for _ in range(200):
+        g = row_denominator_matrix(rng, *(2 * (rng.randint(0, 6),)))
+        try:
+            expected = rref_inverse(g)
+        except ValueError:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                g.inverse()
+            continue
+        inv = g.inverse()
+        assert inv == expected and all_fractions(inv) and inv.shape == g.shape
+        assert inv @ g == RationalMatrix.identity(g.nrows) == g @ inv
+        inverted += g.nrows > 1
+    assert inverted > 100
+
+
 def test_public_constructor_still_coerces_and_validates():
     # products and inverses skip the coercion; the constructor keeps it
     m = RationalMatrix(((1, "-2/4"), (Fraction(3, 9), "7")), 2)

@@ -2,6 +2,7 @@ import pytest
 
 from nilquiver import (
     FrobeniusPartition,
+    Multipartition,
     Partition,
     enumerate_bipartitions,
     enumerate_multipartitions,
@@ -224,6 +225,15 @@ def test_multipartition_enumeration():
     # ell = 2 count is the convolution of the partition numbers
     for n in range(7):
         assert len(enumerate_multipartitions(n, 2)) == sum(p[k] * p[n - k] for k in range(n + 1))
+
+
+def test_multipartition_constructor_still_checks_its_components():
+    # the fill search builds its multipartitions unchecked; this one checks
+    for bad in ((1,), (Partition([1]), (2, 1)), ()):
+        with pytest.raises(ValueError):
+            Multipartition(bad)
+    m = Multipartition([Partition([2]), Partition()])
+    assert type(m.components) is tuple and str(m) == "([2],[])"
 
 
 def test_enumeration_cap():

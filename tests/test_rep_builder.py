@@ -205,6 +205,90 @@ def test_base_change_draws_match_the_rank_tested_route(ell, n):
         ), label
 
 
+#: Row denominators of the rational transforms, both signs.
+ROW_DENOMINATORS = (1, 2, -3, 5, 7, -4, 9, 11, -13, 16)
+
+
+def rational_transform(rng, n):
+    """An invertible n x n rational matrix, each row over its own
+    denominator."""
+    while True:
+        shift = rng.randrange(len(ROW_DENOMINATORS))
+        dens = [ROW_DENOMINATORS[(i + shift) % len(ROW_DENOMINATORS)] for i in range(n)]
+        g = RationalMatrix(
+            tuple(tuple(Fraction(rng.randint(-3, 3), d) for _ in range(n)) for d in dens), n
+        )
+        if g.rank() == n:
+            return g
+
+
+def random_rational_rep(rng, dims):
+    """Dense arrows and framing vector with mixed denominators; conjugation
+    needs no nilpotency."""
+    def entry():
+        return Fraction(rng.randint(-20, 20), rng.choice(ROW_DENOMINATORS))
+
+    main, ell = dims.main, dims.ell
+    maps = tuple(
+        RationalMatrix(
+            tuple(tuple(entry() for _ in range(main[i])) for _ in range(main[(i + 1) % ell])),
+            main[i],
+        )
+        for i in range(ell)
+    )
+    fv = tuple(entry() for _ in range(main[0])) if dims.framing else ()
+    return QuiverRep(ell, dims, maps, fv)
+
+
+def assert_conjugate_matches_the_oracle(rep, transforms):
+    got = conjugate(rep, transforms)
+    expected = linalg_oracle.conjugate(rep, transforms)
+    assert json.dumps(got.to_json()) == json.dumps(expected.to_json())
+    assert got == expected
+
+
+@pytest.mark.parametrize("ell, n", [(1, 4), (2, 3), (3, 2), (4, 2)])
+def test_conjugate_matches_the_oracle_under_rational_transforms(ell, n):
+    # the integer triple product against two Fraction products and the
+    # rref inverse: 0/1 label representatives, and dense rational ones
+    rng = random.Random(100 * ell + n)
+    for label in enumerate_orbit_labels(n, ell)[::5]:
+        rep = build_label_rep(label)
+        for case in (rep, random_rational_rep(rng, rep.dims)):
+            transforms = [rational_transform(rng, d) for d in case.dims.main]
+            assert_conjugate_matches_the_oracle(case, transforms)
+
+
+@pytest.mark.parametrize(
+    "framing, main",
+    [(0, (0,)), (1, (0,)), (1, (0, 2, 0)), (0, (3, 0)), (1, (2, 0, 0, 1)), (1, (0, 0, 3)), (0, (0, 0))],
+)
+def test_conjugate_matches_the_oracle_at_zero_dimensional_vertices(framing, main):
+    rng = random.Random(sum(main) + 10 * framing)
+    dims = DimensionVector(framing, main)
+    for _ in range(5):
+        rep = random_rational_rep(rng, dims)
+        assert_conjugate_matches_the_oracle(rep, [rational_transform(rng, d) for d in main])
+        state = rng.getstate()
+        moved = random_base_change(rep, rng)
+        rng.setstate(state)
+        assert moved == linalg_oracle.conjugate(rep, [random_invertible(d, rng) for d in main])
+
+
+def test_conjugate_rejects_transforms_of_the_wrong_shape():
+    rep = random_rational_rep(random.Random(5), DimensionVector(1, (2, 2)))
+    square = RationalMatrix.identity(2)
+    for transforms in (
+        [square, RationalMatrix.identity(3)],
+        [RationalMatrix.zero(2, 3), square],
+        [RationalMatrix((), 0), square],
+    ):
+        with pytest.raises(ValueError, match="has shape"):
+            conjugate(rep, transforms)
+    with pytest.raises(ValueError, match="singular"):
+        conjugate(rep, [square, RationalMatrix.zero(2, 2)])
+
+
 class CountingRandom(random.Random):
     def __init__(self, seed):
         super().__init__(seed)

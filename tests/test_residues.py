@@ -263,9 +263,10 @@ def test_partitions_with_one_deficit_share_their_nu_objects():
 
 
 def test_chain_fills_share_valid_partitions():
-    # the chain-length partitions the fill search builds without checks,
-    # and the partitions the admissible walk yields, on the cones the
-    # benchmark enumerates, equal the validated partitions of their parts
+    # the chain-length partitions and the multipartitions the fill search
+    # builds without checks, and the partitions the admissible walk yields,
+    # on the cones the benchmark enumerates, equal the validated values of
+    # their parts
     for ell, n in [(1, 8), (2, 4), (3, 3), (4, 2)]:
         labels = enumerate_orbit_labels(n, ell)
         partitions = {id(p): p for label in labels for p in (label.lam, *label.nu)}
@@ -274,6 +275,10 @@ def test_chain_fills_share_valid_partitions():
             assert all(type(x) is int for x in p.parts)
             assert p == Partition(p.parts) and hash(p) == hash(Partition(p.parts))
             assert Partition(p.parts).parts == p.parts
+        for nu in {id(label.nu): label.nu for label in labels}.values():
+            checked = Multipartition(nu.components)
+            assert type(nu.components) is tuple and len(nu) == ell
+            assert nu == checked and hash(nu) == hash(checked)
 
 
 def test_chain_fillable_matches_the_direct_search():
