@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .partitions import FrobeniusPartition, Multipartition, Partition, json_int
 from .residues import DimensionVector, chain_fills, runs_vector, zero_hits
@@ -48,9 +49,20 @@ class _Diagram:
         }
 
 
+def _longest_first(circles) -> tuple[tuple[int, int], ...]:
+    """Unmarked circles (start, length) sorted longest first, then by start
+    block: sorted by start, then stably by length, both by C keys."""
+    circles = sorted(circles)
+    circles.sort(key=itemgetter(1), reverse=True)
+    return tuple(circles)
+
+
 @dataclass(frozen=True, slots=True)
 class CircleDiagram(_Diagram):
-    """An unmarked multiset of circles: pairs (start block, length >= 1)."""
+    """An unmarked multiset of circles: pairs (start block, length >= 1).
+
+    The constructor checks and sorts the circles; ``_built`` sorts circles
+    computed from validated values without checking them again."""
 
     ell: int
     circles: tuple[tuple[int, int], ...]
@@ -65,8 +77,17 @@ class CircleDiagram(_Diagram):
             if length < 1:
                 raise ValueError("circle length must be positive")
             circles.append((int(start), int(length)))
-        circles.sort(key=lambda c: (-c[1], c[0]))
-        object.__setattr__(self, "circles", tuple(circles))
+        object.__setattr__(self, "circles", _longest_first(circles))
+
+    @classmethod
+    def _built(cls, ell: int, circles) -> "CircleDiagram":
+        """A diagram of circles (start, length) computed here, ints with
+        each start in 0..ell-1 and each length positive, sorted as the
+        constructor sorts them but not checked again."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "ell", ell)
+        object.__setattr__(d, "circles", _longest_first(circles))
+        return d
 
     def chains(self) -> tuple[tuple[int, int, None], ...]:
         """(start, length, None) per circle."""
@@ -77,12 +98,13 @@ class CircleDiagram(_Diagram):
         comps: list[list[int]] = [[] for _ in range(self.ell)]
         for start, length in self.circles:
             comps[start].append(length)
-        return Multipartition(tuple(Partition(sorted(c, reverse=True)) for c in comps))
+        # the circles come longest first, so each block's lengths decrease
+        return Multipartition._built(tuple(Partition._built(tuple(c)) for c in comps))
 
     @classmethod
     def from_multipartition(cls, nu: Multipartition) -> "CircleDiagram":
-        circles = [(i, length) for i, comp in enumerate(nu) for length in comp]
-        return cls(len(nu), tuple(circles))
+        circles = [(i, length) for i, comp in enumerate(nu.components) for length in comp.parts]
+        return cls._built(len(nu.components), circles)
 
     def __str__(self) -> str:
         inner = ", ".join(f"({s},{p})" for s, p in self.circles)
@@ -127,9 +149,10 @@ class FrobeniusCircleDiagram(_Diagram):
 
     @classmethod
     def _built(cls, ell: int, circles: tuple[tuple[int, int], ...]) -> "FrobeniusCircleDiagram":
-        """A diagram of circles computed here from Frobenius coordinates,
-        already sorted longest first with strictly decreasing mark offsets
-        and follower counts, taken without sorting or checking them again."""
+        """A diagram of circles computed here, already sorted longest first
+        with strictly decreasing mark offsets and follower counts (the hooks
+        of a partition, or the surviving rows of a striped bipartition),
+        taken without sorting or checking them again."""
         d = object.__new__(cls)
         object.__setattr__(d, "ell", ell)
         object.__setattr__(d, "circles", circles)
@@ -143,7 +166,7 @@ class FrobeniusCircleDiagram(_Diagram):
     def frobenius_partition(self) -> FrobeniusPartition:
         arms = tuple(o for _, o in self.circles)
         legs = tuple(p - o - 1 for p, o in self.circles)
-        return FrobeniusPartition(legs, arms)
+        return FrobeniusPartition._built(legs, arms)
 
     def partition(self) -> Partition:
         return self.frobenius_partition().partition()
@@ -227,7 +250,7 @@ def frobenius_diagram_of_partition(lam: Partition, ell: int) -> FrobeniusCircleD
     if ell < 1:
         raise ValueError("ell must be positive")
     f = lam.frobenius()
-    circles = tuple((legs + arms + 1, arms) for legs, arms in zip(f.legs, f.arms))
+    circles = tuple([(legs + arms + 1, arms) for legs, arms in zip(f.legs, f.arms)])
     return FrobeniusCircleDiagram._built(ell, circles)
 
 

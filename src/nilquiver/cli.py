@@ -257,10 +257,16 @@ def _parse_diagram(text: str):
     return from_dot(text) if text.lstrip().startswith("digraph") else diagram_from_json(json.loads(text))
 
 
-#: The most boxes ``render --partition`` draws: every format writes a few
-#: bytes per box, so a short argument such as "[300000000]" must not buy
-#: hundreds of megabytes of output.
+#: The most boxes ``render`` draws, of a partition or of a diagram's
+#: circles: every format writes a few bytes per box, so a short argument
+#: such as "[300000000]" or a circle of that length must not buy hundreds
+#: of megabytes of output.
 RENDER_MAX_BOXES = 100_000
+
+
+def _check_render_size(what: str, boxes: int) -> None:
+    if boxes > RENDER_MAX_BOXES:
+        raise ValueError(f"the {what} has {boxes} boxes; render draws at most {RENDER_MAX_BOXES}")
 
 
 def _cmd_render(args) -> int:
@@ -270,13 +276,13 @@ def _cmd_render(args) -> int:
         raise ValueError("need ell >= 1")
     if args.partition is not None:
         lam = Partition.from_text(args.partition)
-        if lam.size > RENDER_MAX_BOXES:
-            raise ValueError(
-                f"the partition has {lam.size} boxes; render draws at most {RENDER_MAX_BOXES}"
-            )
+        _check_render_size("partition", lam.size)
         print(_render_partition(lam, args.ell, args.format))
         return 0
+    # a parsed diagram holds one (start, length, mark) per circle, whatever
+    # the lengths, so the bound is read off it before anything is drawn
     diagram = _read_payload(args.diagram, _parse_diagram)
+    _check_render_size("diagram", sum(length for _, length, _ in diagram.chains()))
     print(_render_diagram(diagram, args.format))
     return 0
 

@@ -19,6 +19,21 @@ row-removal rule serves both.  The inverses are built from the label's
 circle diagrams, not found by search, and are certified by their forward
 maps; the striped bipartitions of a signature are enumerated as the image
 of the orbit labels under the inverse.
+
+Where values are checked: each item is checked once.  Values from outside
+the program go through the public constructors (``StripedBipartition``,
+its ``from_json``, ``Partition``, ``OrbitLabel.from_json``), which check
+every condition; the striped conditions are read in one pass over the rows
+by :func:`_striped_error`.  A striped bipartition built by
+:func:`striped_from_label` is certified exactly once: its rows pass
+:func:`_striped_error`, and :func:`striped_to_diagrams` maps them to the
+label's own diagrams.  Everything else is built through the private
+``_built`` constructors without checks: the pair of partitions that
+:func:`bipartition_as_striped` reads as ell = 1 rows, which are striped by
+construction, and the diagrams and label of the forward map, which are
+valid on striped rows by the translation theorem (Achar and Henderson).
+The tests keep the route that checked each value three times over as an
+oracle.
 """
 
 from __future__ import annotations
@@ -57,6 +72,9 @@ class StripedBipartition:
        nu_i inside (-ell, 0];
     2. nu_i > -ell for every row;
     3. for i < j both nu_j < nu_i + ell and mu_j < mu_i + ell.
+
+    The constructor coerces its fields and checks them all; ``_built``
+    takes rows that are already known to be striped.
     """
 
     ell: int
@@ -77,16 +95,23 @@ class StripedBipartition:
             raise ValueError("colours must lie in 0..ell-1")
         if any(n > p for n, p in zip(self.nu, lam.parts)):
             raise ValueError("marking function exceeds a row length")
-        mu = self.mu
-        for i in range(k):
-            if (self.epsilon[i] + mu[i]) % ell != 0:
-                raise ValueError(f"mark of row {i + 1} does not sit in block 0")
-            if self.nu[i] <= -ell:
-                raise ValueError(f"marking value of row {i + 1} below -ell")
-        for i in range(k):
-            for j in range(i + 1, k):
-                if not (self.nu[j] < self.nu[i] + ell and mu[j] < mu[i] + ell):
-                    raise ValueError(f"rows {i + 1},{j + 1} violate the striped ordering")
+        problem = _striped_error(ell, lam.parts, self.epsilon, self.nu)
+        if problem:
+            raise ValueError(problem)
+
+    @classmethod
+    def _built(
+        cls, ell: int, lam: Partition, epsilon: tuple[int, ...], nu: tuple[int, ...]
+    ) -> "StripedBipartition":
+        """Rows computed here (tuples of ints, one entry per part, colours in
+        0..ell-1, markings at most the row lengths) that are striped by
+        construction or by a certificate, taken without checking them again."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "ell", ell)
+        object.__setattr__(s, "lam", lam)
+        object.__setattr__(s, "epsilon", epsilon)
+        object.__setattr__(s, "nu", nu)
+        return s
 
     @property
     def mu(self) -> tuple[int, ...]:
@@ -119,6 +144,31 @@ class StripedBipartition:
         )
 
 
+def _striped_error(ell: int, lam: tuple[int, ...], epsilon, nu) -> str | None:
+    """The first striped condition that the rows (lam, epsilon, nu) break,
+    as a message, or None when they are striped.
+
+    Condition 3 holds for row j against every row above it exactly when it
+    holds against the least nu and the least mu above it, so one pass with
+    running minima (row 1 compared with itself passes) reads every pair."""
+    if not lam:
+        return None
+    low_nu, low_mu = nu[0], lam[0] - nu[0]
+    for i, (p, e, n) in enumerate(zip(lam, epsilon, nu), start=1):
+        m = p - n
+        if (e + m) % ell:
+            return f"mark of row {i} does not sit in block 0"
+        if n <= -ell:
+            return f"marking value of row {i} below -ell"
+        if n >= low_nu + ell or m >= low_mu + ell:
+            return f"row {i} violates the striped ordering with a row above it"
+        if n < low_nu:
+            low_nu = n
+        if m < low_mu:
+            low_mu = m
+    return None
+
+
 def signature(lam: Partition, epsilon, ell: int) -> DimensionVector:
     """Box count of the coloured diagram: box (i, j) has colour
     epsilon_i + (lam_i - j) mod ell, so row i is the run starting at
@@ -144,20 +194,22 @@ def removable_rows_cyclic(s: StripedBipartition) -> frozenset[int]:
         different from (lam_i, epsilon_i), or
     (c) some earlier row j has mu_j <= mu_i.
     """
-    lam, eps, nu, mu = s.lam.parts, s.epsilon, s.nu, s.mu
+    lam, eps, nu = s.lam.parts, s.epsilon, s.nu
     k = len(lam)
     removed = set()
+    low_mu = None  # the least mu of the rows above, which (c) reads
     for i in range(k):
-        if nu[i] <= 0:
+        n, m = nu[i], lam[i] - nu[i]
+        if n <= 0 or (low_mu is not None and low_mu <= m):
             removed.add(i + 1)
-            continue
-        if any(
-            nu[j] >= nu[i] and (lam[j], eps[j]) != (lam[i], eps[i]) for j in range(i + 1, k)
-        ):
-            removed.add(i + 1)
-            continue
-        if any(mu[j] <= mu[i] for j in range(i)):
-            removed.add(i + 1)
+        else:
+            kind = (lam[i], eps[i])
+            for j in range(i + 1, k):
+                if nu[j] >= n and (lam[j], eps[j]) != kind:
+                    removed.add(i + 1)
+                    break
+        if low_mu is None or m < low_mu:
+            low_mu = m
     return frozenset(removed)
 
 
@@ -168,25 +220,24 @@ def striped_to_diagrams(
 
     Removed rows become plain circles (start epsilon_i, length lam_i); the
     surviving rows become marked circles of length lam_i with the mark at
-    offset mu_i, which lands in block 0 by the striped conditions.
+    offset mu_i, which lands in block 0 by the striped conditions.  On
+    striped rows the surviving ones have strictly decreasing offsets and
+    follower counts, so they come longest first and form a Frobenius
+    diagram, and the circles' boxes add up to the signature; both diagrams
+    are therefore built without checks.
     """
     removed = removable_rows_cyclic(s)
     plain = []
     marked = []
-    for i, (length, colour, mark_col) in enumerate(s.rows(), start=1):
+    for i, (length, colour, mark_col) in enumerate(zip(s.lam.parts, s.epsilon, s.nu), start=1):
         if i in removed:
             plain.append((colour, length))
         else:
             marked.append((length, length - mark_col))
-    try:
-        frob = FrobeniusCircleDiagram(s.ell, tuple(marked))
-    except ValueError as exc:  # pragma: no cover - guards internal consistency
-        raise AssertionError(f"surviving rows are not Frobenius: {exc}") from exc
-    circ = CircleDiagram(s.ell, tuple(plain))
-    total = frob.dimension_vector() + circ.dimension_vector()
-    if total != s.signature():
-        raise AssertionError("diagram dimensions must add up to the signature")
-    return frob, circ
+    return (
+        FrobeniusCircleDiagram._built(s.ell, tuple(marked)),
+        CircleDiagram._built(s.ell, plain),
+    )
 
 
 def label_of_diagrams(frob: FrobeniusCircleDiagram, circ: CircleDiagram) -> OrbitLabel:
@@ -210,8 +261,11 @@ def striped_label(s: StripedBipartition) -> OrbitLabel:
     return label_of_diagrams(*striped_to_diagrams(s))
 
 
-def striped_from_label(label: OrbitLabel) -> StripedBipartition:
-    """Inverse of :func:`striped_label`, built from :func:`diagrams_of_label`.
+def _rows_of_diagrams(
+    frob: FrobeniusCircleDiagram, circ: CircleDiagram
+) -> list[tuple[int, int, int]]:
+    """The rows (length, colour, marking) that :func:`striped_from_label`
+    builds from a label's diagrams, sorted by (-length, colour, marking).
 
     A marked circle (length p, mark offset o) is a surviving row
     (p, -o mod ell, p - o).  A plain circle (start s, length p) is a removed
@@ -219,22 +273,44 @@ def striped_from_label(label: OrbitLabel) -> StripedBipartition:
     largest of 0, the marking of the first surviving row of length <= p,
     and p - mu of the last surviving row longer than p.  Rows of equal
     length are sorted by (colour, marking), one fixed order for each
-    multiset of rows.  The answer is certified by the forward map.
-    """
-    ell = label.ell
-    frob, circ = diagrams_of_label(label)
-    kept = [(p, start, p - o) for start, p, o in frob.chains()]
-    rows = list(kept)
+    multiset of rows."""
+    ell, marked = frob.ell, frob.circles
+    rows = [(p, -o % ell, p - o) for p, o in marked]
+    # both diagrams list their circles longest first, so the surviving rows
+    # longer than a plain circle are the first j, for j growing as we go
+    j, k = 0, len(marked)
     for start, length in circ.circles:
-        shorter = [nu for p, _, nu in kept if p <= length][:1]
-        longer = [length - p + nu for p, _, nu in kept if p > length][-1:]
-        bound = max([0] + shorter + longer)
+        while j < k and marked[j][0] > length:
+            j += 1
+        bound = max(
+            0,
+            marked[j][0] - marked[j][1] if j < k else 0,
+            length - marked[j - 1][1] if j else 0,
+        )
         rows.append((length, start, bound - (bound - length - start) % ell))
     rows.sort(key=lambda r: (-r[0], r[1], r[2]))
+    return rows
+
+
+def striped_from_label(label: OrbitLabel) -> StripedBipartition:
+    """Inverse of :func:`striped_label`: the rows of
+    :func:`_rows_of_diagrams` on the label's :func:`diagrams_of_label`,
+    certified once.  They must pass :func:`_striped_error`, and
+    :func:`striped_to_diagrams` must map them to the label's own diagrams,
+    which :func:`label_of_diagrams` reads back as the label; otherwise
+    ``AssertionError`` is raised.  Colours in range, markings at most the
+    row lengths and the row order hold by construction, so no constructor
+    checks the answer again.
+    """
+    frob, circ = diagrams_of_label(label)
+    rows = _rows_of_diagrams(frob, circ)
     lam, eps, nu = zip(*rows) if rows else ((), (), ())
-    s = StripedBipartition(ell, Partition(lam), eps, nu)
-    if striped_label(s) != label:
-        raise AssertionError(f"the rows built for {label} map to {striped_label(s)}")
+    problem = _striped_error(label.ell, lam, eps, nu)
+    if problem:
+        raise AssertionError(f"the rows built for {label} are not striped: {problem}")
+    s = StripedBipartition._built(label.ell, Partition._built(lam), eps, nu)
+    if striped_to_diagrams(s) != (frob, circ):
+        raise AssertionError(f"the rows built for {label} map to other diagrams")
     return s
 
 
@@ -245,10 +321,14 @@ def striped_from_label(label: OrbitLabel) -> StripedBipartition:
 
 def bipartition_as_striped(mu: Partition, nu: Partition) -> StripedBipartition:
     """Encode a one-vertex bipartition as a striped bipartition: rows of
-    lam = mu + nu, all colours 0, markings mu."""
+    lam = mu + nu, all colours 0, markings mu.
+
+    At ell = 1 the striped conditions ask only that the markings mu and
+    the remainders nu both decrease weakly, which a pair of partitions
+    does, so the rows are built without checks."""
     k = max(len(mu), len(nu))
-    lam = Partition(mu[i] + nu[i] for i in range(k))
-    return StripedBipartition(1, lam, (0,) * k, tuple(mu[i] for i in range(k)))
+    lam = Partition._built(tuple(mu[i] + nu[i] for i in range(k)))
+    return StripedBipartition._built(1, lam, (0,) * k, tuple(mu[i] for i in range(k)))
 
 
 def bipartition_to_label(mu: Partition, nu: Partition) -> tuple[Partition, Partition]:
@@ -268,11 +348,14 @@ def label_to_bipartition(eta: Partition, zeta: Partition) -> tuple[Partition, Pa
     """Inverse of :func:`bipartition_to_label`: the ell = 1 striped preimage
     of the label, read back through :func:`bipartition_as_striped` (markings
     mu, boxes right of the marks nu).  At ell = 1 a striped bipartition's
-    markings and remainders both decrease weakly, so those two partitions
-    rebuild its rows exactly, and ``striped_from_label``'s certificate is
-    the forward map's."""
+    markings and remainders are nonnegative and both decrease weakly, so
+    dropping their zeros gives two partitions that rebuild its rows
+    exactly, and ``striped_from_label``'s certificate is the forward
+    map's."""
     s = striped_from_label(OrbitLabel(eta, Multipartition((zeta,))))
-    return Partition(s.nu), Partition(s.mu)
+    mu = Partition._built(tuple(x for x in s.nu if x))
+    nu = Partition._built(tuple(x for x in s.mu if x))
+    return mu, nu
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ Where values are checked: the public constructors of :class:`Partition`,
 :class:`FrobeniusPartition` and :class:`Multipartition` coerce and validate
 their fields, so data from outside the program (JSON, CLI text, user lists)
 always goes through them.  A value computed from one that was already
-validated (a transpose, Frobenius coordinates, the chain lengths and the
-vertex-0 fills of the fill search, the hooks of a marked diagram in
+validated (a transpose, Frobenius coordinates and the partition they
+describe, the chain lengths and the vertex-0 fills of the fill search, the
+hooks of a marked diagram and the lengths of a plain one in
 ``circle_diagrams``) is built by a private ``_built`` constructor instead,
 which stores fields that are valid by construction without checking them
 again.
@@ -139,11 +140,19 @@ class Partition:
         return sum(1 for i, part in enumerate(self.parts, start=1) if part >= i)
 
     def frobenius(self) -> "FrobeniusPartition":
-        k = self.diagonal_length()
-        # only the first k columns are read, never all self[0] of them
-        legs = tuple(h - (i + 1) for i, h in enumerate(self._column_heights(k)))
-        arms = tuple(self.parts[i] - (i + 1) for i in range(k))
-        return FrobeniusPartition._built(legs, arms)
+        parts = self.parts
+        legs, arms = [], []
+        # one walk down the diagonal: only the heights of the diagonal
+        # columns are read, never all self[0] of them
+        rows = len(parts)
+        for i, part in enumerate(parts):
+            if part <= i:
+                break
+            while parts[rows - 1] <= i:
+                rows -= 1
+            legs.append(rows - (i + 1))
+            arms.append(part - (i + 1))
+        return FrobeniusPartition._built(tuple(legs), tuple(arms))
 
     def weight(self, ell: int) -> int:
         """Number of boxes of content divisible by ell in the first hook.
@@ -217,7 +226,8 @@ class FrobeniusPartition:
             rows[i] = self.arms[i] + (i + 1)
             for r in range(i + 1, i + 1 + self.legs[i]):
                 rows[r] += 1
-        return Partition(rows)
+        # strictly decreasing legs and arms give positive, decreasing rows
+        return Partition._built(tuple(rows))
 
 
 @dataclass(frozen=True, slots=True)

@@ -171,6 +171,28 @@ def test_translate_rejects_invalid_striped():
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "bad, ell, message",
+    [
+        ({"lambda": [2], "epsilon": [1], "nu": [2]}, 2, "mark of row 1 does not sit in block 0"),
+        ({"lambda": [3, 2], "epsilon": [0, 0], "nu": [3, 1]}, 2, "mark of row 2 does not sit in block 0"),
+        ({"lambda": [4], "epsilon": [0], "nu": [-2]}, 2, "marking value of row 1 below -ell"),
+        ({"lambda": [2, 2], "epsilon": [0, 0], "nu": [0, 2]}, 1, "row 2 violates the striped ordering"),
+        # row 3 breaks the ordering against row 1 only
+        ({"lambda": [4, 3, 2], "epsilon": [0, 0, 0], "nu": [0, 1, 2]}, 2, "row 3 violates"),
+    ],
+    ids=["mark-outside-block-0", "second-mark-outside", "below-ell", "ordering", "ordering-row-3"],
+)
+def test_translate_names_the_broken_striped_condition(bad, ell, message):
+    # the public constructor still checks every striped condition
+    code, out, err = run_cli(
+        ["translate", "--from", "johnson", "--to", "label", "--input", "-", "--ell", str(ell)],
+        json.dumps(bad),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_decompose_cli():
     rep = direct_sum(build_framed(Partition([2, 1]), 1), build_chain(0, 1, 1))
     code, out, _ = run_cli(["decompose", "--input", "-"], json.dumps(rep.to_json()))
@@ -350,6 +372,31 @@ def test_render_draws_a_partition_at_the_box_bound(capsys):
     assert capsys.readouterr().out == ("[]" * 50000 + "\n") * 2
     assert main(["render", "--partition", "[50000,50000,1]", "--format", "ascii"]) == 2
     assert "render draws at most 100000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mark", [None, 0])
+@pytest.mark.parametrize("fmt", ["ascii", "dot", "latex-ytableau"])
+def test_render_refuses_a_huge_diagram_at_once(fmt, mark):
+    # a 70-byte circle would otherwise buy as much output as "[300000000]"
+    diagram = {"ell": 3, "circles": [{"start": 0, "len": 300000000, "mark": mark}]}
+    args = ["render", "--diagram", "-", "--format", fmt]
+    code, out, err = run_cli(args, json.dumps(diagram), timeout=20)
+    assert (code, out) == (2, "")
+    assert err == "error: the diagram has 300000000 boxes; render draws at most 100000\n"
+
+
+def test_render_draws_a_diagram_at_the_box_bound(monkeypatch, capsys):
+    def render(lengths):
+        circles = [{"start": 0, "len": length, "mark": None} for length in lengths]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"ell": 1, "circles": circles})))
+        return main(["render", "--diagram", "-", "--format", "ascii"])
+
+    assert render([60000, 40000]) == 0
+    assert capsys.readouterr().out.count(" 0 ") == 100000
+    assert render([60000, 40000, 1]) == 2
+    assert capsys.readouterr().err == (
+        "error: the diagram has 100001 boxes; render draws at most 100000\n"
+    )
 
 
 def test_render_diagram_dot_parses_back(tmp_path):

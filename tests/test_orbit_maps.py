@@ -1,8 +1,10 @@
+import collections
 import itertools
 import json
 import time
 
 import pytest
+import translation_oracle
 from enumeration_oracle import fill_with_chains, striped_bipartitions
 from removal_oracle import bipartition_to_label as greedy_label
 from removal_oracle import removable_rows
@@ -329,20 +331,148 @@ def test_striped_from_label_big_example():
     assert striped_from_label(striped_label(s)) == s
 
 
-def test_striped_from_label_refuses_a_wrong_certificate(monkeypatch, tmp_path, capsys):
-    from nilquiver import orbit_maps
+def translate_to_johnson(label, tmp_path, capsys):
+    """Exit code and stderr of ``translate --from label --to johnson``."""
     from nilquiver.cli import main
 
-    label = enumerate_orbit_labels(2, 2)[5]
-    wrong = OrbitLabel(P([9]), Multipartition.empty(2))
-    monkeypatch.setattr(orbit_maps, "striped_label", lambda s: wrong)
-    with pytest.raises(AssertionError):
-        striped_from_label(label)
     path = tmp_path / "label.json"
     path.write_text(json.dumps(label.to_json()))
     argv = ["translate", "--from", "label", "--to", "johnson", "--input", str(path)]
-    assert main(argv) == 1
-    assert "internal error" in capsys.readouterr().err
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+def test_striped_from_label_refuses_a_wrong_certificate(monkeypatch, tmp_path, capsys):
+    # the forward map the certificate calls names other diagrams
+    from nilquiver import orbit_maps
+
+    label = enumerate_orbit_labels(2, 2)[5]
+    wrong = diagrams_of_label(OrbitLabel(P([9]), Multipartition.empty(2)))
+    monkeypatch.setattr(orbit_maps, "striped_to_diagrams", lambda s: wrong)
+    with pytest.raises(AssertionError, match="map to other diagrams"):
+        striped_from_label(label)
+    code, err = translate_to_johnson(label, tmp_path, capsys)
+    assert code == 1 and "internal error" in err
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        # one plain circle: its row stays removed, so the diagrams still
+        # match and only the striped conditions see the marking below -ell
+        (OrbitLabel(P([]), Multipartition((P([1]), P([]), P([])))), "not striped"),
+        # one marked circle: its row loses its mark, so the rows stay
+        # striped and only the forward map sees it
+        (OrbitLabel(P([1]), Multipartition((P([]),))), "other diagrams"),
+        (OrbitLabel(P([2, 1]), Multipartition((P([1]), P([]), P([])))), None),
+    ],
+    ids=["not-striped", "maps-elsewhere", "three-rows"],
+)
+def test_striped_from_label_refuses_a_corrupted_row(label, message, monkeypatch, tmp_path, capsys):
+    # the first row's marking drops by ell, which keeps its mark in block 0
+    from nilquiver import orbit_maps
+
+    real = orbit_maps._rows_of_diagrams
+
+    def corrupted(frob, circ):
+        rows = real(frob, circ)
+        length, colour, marking = rows[0]
+        rows[0] = (length, colour, marking - frob.ell)
+        return rows
+
+    monkeypatch.setattr(orbit_maps, "_rows_of_diagrams", corrupted)
+    with pytest.raises(AssertionError, match=message):
+        striped_from_label(label)
+    code, err = translate_to_johnson(label, tmp_path, capsys)
+    assert code == 1 and err.startswith("internal error: ")
+    monkeypatch.undo()
+    assert striped_label(striped_from_label(label)) == label
+
+
+CONES = [(1, 8), (2, 4), (3, 3), (4, 2), (4, 3)]
+
+
+@pytest.mark.parametrize("ell,n", CONES)
+def test_translations_match_the_triple_checked_route(ell, n):
+    labels = enumerate_orbit_labels(n, ell)
+    striped = [translation_oracle.striped_from_label(label) for label in labels]
+    assert [striped_from_label(label) for label in labels] == striped
+    assert [striped_label(s) for s in striped] == labels
+    assert [translation_oracle.striped_label(s) for s in striped] == labels
+    want = sorted(striped, key=lambda s: (s.lam.parts, s.epsilon, s.nu))
+    assert enumerate_striped(ell, delta(ell, n)) == want
+    if ell == 1:
+        pairs = [translation_oracle.label_to_bipartition(lbl.lam, lbl.nu[0]) for lbl in labels]
+        assert [label_to_bipartition(lbl.lam, lbl.nu[0]) for lbl in labels] == pairs
+        images = [(lbl.lam, lbl.nu[0]) for lbl in labels]
+        assert [translation_oracle.bipartition_to_label(*pair) for pair in pairs] == images
+        assert [bipartition_to_label(*pair) for pair in pairs] == images
+
+
+def test_enumerate_striped_checks_each_item_once(monkeypatch):
+    from nilquiver import circle_diagrams, orbit_maps
+
+    counts = collections.Counter()
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for cls in (StripedBipartition, circle_diagrams.FrobeniusCircleDiagram, CircleDiagram):
+        real_check = cls.__post_init__
+
+        def check(self, real_check=real_check, cls=cls):
+            counts[cls.__name__] += 1
+            real_check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", check)
+    counting(orbit_maps, "striped_to_diagrams")
+    counting(orbit_maps, "_striped_error")
+    found = enumerate_striped(3, delta(3, 3))
+    assert len(found) == 796
+    assert counts == {"striped_to_diagrams": 796, "_striped_error": 796}
+    # the counters do see a public constructor
+    StripedBipartition.from_json(found[0].to_json(), 3)
+    assert counts["StripedBipartition"] == 1 and counts["_striped_error"] == 797
+
+
+def test_every_small_striped_row_sequence_matches_the_checked_route():
+    # every sequence of at most three rows of length at most 3, every colour
+    # and every marking in [-ell, length]: the constructor's one-pass check
+    # with running minima accepts exactly what the pairwise reading
+    # accepts, and on every accepted sequence, whatever its row order, the
+    # unchecked forward map gives the checked route's label
+    accepted = 0
+    for ell in (1, 2, 3):
+        for lam in (p for m in range(10) for p in enumerate_partitions(m)):
+            if len(lam) > 3 or lam[0] > 3:
+                continue
+            options = [
+                [(e, n) for e in range(ell) for n in range(-ell, p + 1)] for p in lam.parts
+            ]
+            for rows in itertools.product(*options):
+                eps = tuple(e for e, _ in rows)
+                nu = tuple(n for _, n in rows)
+                mu = [p - n for p, n in zip(lam.parts, nu)]
+                want = (
+                    all((e + m) % ell == 0 for e, m in zip(eps, mu))
+                    and all(n > -ell for n in nu)
+                    and translation_oracle.striped_ordering_holds(ell, lam.parts, nu)
+                )
+                try:
+                    s = StripedBipartition(ell, lam, eps, nu)
+                except ValueError:
+                    assert not want, (ell, lam, eps, nu)
+                    continue
+                assert want, (ell, lam, eps, nu)
+                assert striped_label(s) == translation_oracle.striped_label(s), s
+                accepted += 1
+    assert accepted == 1314
 
 
 def test_striped_json_roundtrip():
