@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .partitions import FrobeniusPartition, Multipartition, Partition, json_int
 from .residues import DimensionVector, chain_fills, runs_vector, zero_hits
@@ -49,14 +48,6 @@ class _Diagram:
         }
 
 
-def _longest_first(circles) -> tuple[tuple[int, int], ...]:
-    """Unmarked circles (start, length) sorted longest first, then by start
-    block: sorted by start, then stably by length, both by C keys."""
-    circles = sorted(circles)
-    circles.sort(key=itemgetter(1), reverse=True)
-    return tuple(circles)
-
-
 @dataclass(frozen=True, slots=True)
 class CircleDiagram(_Diagram):
     """An unmarked multiset of circles: pairs (start block, length >= 1).
@@ -77,16 +68,18 @@ class CircleDiagram(_Diagram):
             if length < 1:
                 raise ValueError("circle length must be positive")
             circles.append((int(start), int(length)))
-        object.__setattr__(self, "circles", _longest_first(circles))
+        circles.sort(key=lambda c: (-c[1], c[0]))
+        object.__setattr__(self, "circles", tuple(circles))
 
     @classmethod
     def _built(cls, ell: int, circles) -> "CircleDiagram":
         """A diagram of circles (start, length) computed here, ints with
         each start in 0..ell-1 and each length positive, sorted as the
         constructor sorts them but not checked again."""
+        circles = sorted(circles, key=lambda c: (-c[1], c[0]))
         d = object.__new__(cls)
         object.__setattr__(d, "ell", ell)
-        object.__setattr__(d, "circles", _longest_first(circles))
+        object.__setattr__(d, "circles", tuple(circles))
         return d
 
     def chains(self) -> tuple[tuple[int, int, None], ...]:
@@ -250,7 +243,7 @@ def frobenius_diagram_of_partition(lam: Partition, ell: int) -> FrobeniusCircleD
     if ell < 1:
         raise ValueError("ell must be positive")
     f = lam.frobenius()
-    circles = tuple([(legs + arms + 1, arms) for legs, arms in zip(f.legs, f.arms)])
+    circles = tuple((legs + arms + 1, arms) for legs, arms in zip(f.legs, f.arms))
     return FrobeniusCircleDiagram._built(ell, circles)
 
 

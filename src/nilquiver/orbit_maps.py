@@ -26,8 +26,8 @@ its ``from_json``, ``Partition``, ``OrbitLabel.from_json``), which check
 every condition; the striped conditions are read in one pass over the rows
 by :func:`_striped_error`.  A striped bipartition built by
 :func:`striped_from_label` is certified exactly once: its rows pass
-:func:`_striped_error`, and :func:`striped_to_diagrams` maps them to the
-label's own diagrams.  Everything else is built through the private
+:func:`_striped_error`, and the forward map :func:`striped_label` sends
+them back to the label.  Everything else is built through the private
 ``_built`` constructors without checks: the pair of partitions that
 :func:`bipartition_as_striped` reads as ell = 1 rows, which are striped by
 construction, and the diagrams and label of the forward map, which are
@@ -295,12 +295,11 @@ def _rows_of_diagrams(
 def striped_from_label(label: OrbitLabel) -> StripedBipartition:
     """Inverse of :func:`striped_label`: the rows of
     :func:`_rows_of_diagrams` on the label's :func:`diagrams_of_label`,
-    certified once.  They must pass :func:`_striped_error`, and
-    :func:`striped_to_diagrams` must map them to the label's own diagrams,
-    which :func:`label_of_diagrams` reads back as the label; otherwise
-    ``AssertionError`` is raised.  Colours in range, markings at most the
-    row lengths and the row order hold by construction, so no constructor
-    checks the answer again.
+    certified once.  They must pass :func:`_striped_error`, and the
+    forward map :func:`striped_label` must send them back to the label;
+    otherwise ``AssertionError`` is raised.  Colours in range, markings at
+    most the row lengths and the row order hold by construction, so no
+    constructor checks the answer again.
     """
     frob, circ = diagrams_of_label(label)
     rows = _rows_of_diagrams(frob, circ)
@@ -309,8 +308,9 @@ def striped_from_label(label: OrbitLabel) -> StripedBipartition:
     if problem:
         raise AssertionError(f"the rows built for {label} are not striped: {problem}")
     s = StripedBipartition._built(label.ell, Partition._built(lam), eps, nu)
-    if striped_to_diagrams(s) != (frob, circ):
-        raise AssertionError(f"the rows built for {label} map to other diagrams")
+    image = striped_label(s)
+    if image != label:
+        raise AssertionError(f"the rows built for {label} map to {image}")
     return s
 
 

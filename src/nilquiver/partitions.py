@@ -140,19 +140,11 @@ class Partition:
         return sum(1 for i, part in enumerate(self.parts, start=1) if part >= i)
 
     def frobenius(self) -> "FrobeniusPartition":
-        parts = self.parts
-        legs, arms = [], []
-        # one walk down the diagonal: only the heights of the diagonal
-        # columns are read, never all self[0] of them
-        rows = len(parts)
-        for i, part in enumerate(parts):
-            if part <= i:
-                break
-            while parts[rows - 1] <= i:
-                rows -= 1
-            legs.append(rows - (i + 1))
-            arms.append(part - (i + 1))
-        return FrobeniusPartition._built(tuple(legs), tuple(arms))
+        k = self.diagonal_length()
+        # only the first k columns are read, never all self[0] of them
+        legs = tuple(h - (i + 1) for i, h in enumerate(self._column_heights(k)))
+        arms = tuple(self.parts[i] - (i + 1) for i in range(k))
+        return FrobeniusPartition._built(legs, arms)
 
     def weight(self, ell: int) -> int:
         """Number of boxes of content divisible by ell in the first hook.

@@ -343,13 +343,13 @@ def translate_to_johnson(label, tmp_path, capsys):
 
 
 def test_striped_from_label_refuses_a_wrong_certificate(monkeypatch, tmp_path, capsys):
-    # the forward map the certificate calls names other diagrams
+    # the forward map the certificate calls names another label
     from nilquiver import orbit_maps
 
     label = enumerate_orbit_labels(2, 2)[5]
-    wrong = diagrams_of_label(OrbitLabel(P([9]), Multipartition.empty(2)))
-    monkeypatch.setattr(orbit_maps, "striped_to_diagrams", lambda s: wrong)
-    with pytest.raises(AssertionError, match="map to other diagrams"):
+    wrong = OrbitLabel(P([9]), Multipartition.empty(2))
+    monkeypatch.setattr(orbit_maps, "striped_label", lambda s: wrong)
+    with pytest.raises(AssertionError, match="map to"):
         striped_from_label(label)
     code, err = translate_to_johnson(label, tmp_path, capsys)
     assert code == 1 and "internal error" in err
@@ -363,7 +363,7 @@ def test_striped_from_label_refuses_a_wrong_certificate(monkeypatch, tmp_path, c
         (OrbitLabel(P([]), Multipartition((P([1]), P([]), P([])))), "not striped"),
         # one marked circle: its row loses its mark, so the rows stay
         # striped and only the forward map sees it
-        (OrbitLabel(P([1]), Multipartition((P([]),))), "other diagrams"),
+        (OrbitLabel(P([1]), Multipartition((P([]),))), "map to"),
         (OrbitLabel(P([2, 1]), Multipartition((P([1]), P([]), P([])))), None),
     ],
     ids=["not-striped", "maps-elsewhere", "three-rows"],
@@ -431,11 +431,12 @@ def test_enumerate_striped_checks_each_item_once(monkeypatch):
             real_check(self)
 
         monkeypatch.setattr(cls, "__post_init__", check)
+    counting(orbit_maps, "striped_label")
     counting(orbit_maps, "striped_to_diagrams")
     counting(orbit_maps, "_striped_error")
     found = enumerate_striped(3, delta(3, 3))
     assert len(found) == 796
-    assert counts == {"striped_to_diagrams": 796, "_striped_error": 796}
+    assert counts == {"striped_label": 796, "striped_to_diagrams": 796, "_striped_error": 796}
     # the counters do see a public constructor
     StripedBipartition.from_json(found[0].to_json(), 3)
     assert counts["StripedBipartition"] == 1 and counts["_striped_error"] == 797
