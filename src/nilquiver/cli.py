@@ -309,10 +309,19 @@ def _cmd_reptype(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: The most orbit labels ``selfcheck`` takes on, counted before its first
+#: line is printed.  Its decomposition oracle decomposes one representation
+#: per label, and at ell = 1 one per bipartition of every size up to n, so
+#: the work per label grows with n: the slowest cone admitted is (13, 1),
+#: 1,770 labels and 4,902 decompositions.
+SELFCHECK_MAX_LABELS = 2_000
+
+
 def _cmd_selfcheck(args) -> int:
     n, ell = args.n, args.ell
     if n < 0 or ell < 1:
         raise ValueError("need n >= 0 and ell >= 1")
+    labels = enumerate_orbit_labels(n, ell, max_count=SELFCHECK_MAX_LABELS)
     failures = 0
 
     def report(name: str, ok: bool, details: str = ""):
@@ -345,7 +354,6 @@ def _cmd_selfcheck(args) -> int:
                 ok = False
     report("core-quotient-roundtrip", ok)
 
-    labels = enumerate_orbit_labels(n, ell)
     report("label-count", len(labels) == cone_count(n, ell), f"{len(labels)} labels")
 
     ok = True
@@ -376,8 +384,7 @@ def _cmd_selfcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_enumerate(sub) -> None:
-    p = sub.add_parser("enumerate-orbits", help="list the orbit labels of a cone")
+def _enumerate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--x", type=int, default=None,
@@ -385,8 +392,7 @@ def _add_enumerate(sub) -> None:
     p.set_defaults(func=_cmd_enumerate)
 
 
-def _add_translate(sub) -> None:
-    p = sub.add_parser("translate", help="translate between label formats")
+def _translate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--from", dest="source", choices=["ah", "johnson", "label"], required=True)
     p.add_argument("--to", dest="target", choices=["ah", "johnson", "label"], required=True)
     p.add_argument("--input", required=True, help="JSON file, or - for stdin")
@@ -394,14 +400,12 @@ def _add_translate(sub) -> None:
     p.set_defaults(func=_cmd_translate)
 
 
-def _add_decompose(sub) -> None:
-    p = sub.add_parser("decompose", help="decompose a representation JSON file")
+def _decompose_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="JSON file, or - for stdin")
     p.set_defaults(func=_cmd_decompose)
 
 
-def _add_render(sub) -> None:
-    p = sub.add_parser("render", help="render partitions and circle diagrams")
+def _render_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--partition", default=None, help='bracket form, e.g. "[6,4,4,2]"')
     p.add_argument("--diagram", default=None, help="diagram JSON or DOT file, or - for stdin")
     p.add_argument("--ell", type=int, default=None)
@@ -409,56 +413,73 @@ def _add_render(sub) -> None:
     p.set_defaults(func=_cmd_render)
 
 
-def _add_reptype(sub) -> None:
-    p = sub.add_parser("reptype", help="representation type of the (ell, x) algebra")
+def _reptype_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("ell", type=int)
     p.add_argument("x", type=int)
     p.set_defaults(func=_cmd_reptype)
 
 
-def _add_selfcheck(sub) -> None:
-    p = sub.add_parser("selfcheck", help="run the invariant suites at desk scale")
+def _selfcheck_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.set_defaults(func=_cmd_selfcheck)
 
 
-#: Each command, in help order, with the function that adds its subparser.
+#: Each command, in help order: its help line and the function that adds
+#: its arguments to a parser.
 COMMANDS = {
-    "enumerate-orbits": _add_enumerate,
-    "translate": _add_translate,
-    "decompose": _add_decompose,
-    "render": _add_render,
-    "reptype": _add_reptype,
-    "selfcheck": _add_selfcheck,
+    "enumerate-orbits": ("list the orbit labels of a cone", _enumerate_arguments),
+    "translate": ("translate between label formats", _translate_arguments),
+    "decompose": ("decompose a representation JSON file", _decompose_arguments),
+    "render": ("render partitions and circle diagrams", _render_arguments),
+    "reptype": ("representation type of the (ell, x) algebra", _reptype_arguments),
+    "selfcheck": ("run the invariant suites at desk scale", _selfcheck_arguments),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with every command's subparser, or with only
-    ``command``'s.
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser with every command's subparser.
 
-    The one-command parser names all commands in its usage line, so its
-    usage and error messages are the ones the full parser prints for an
-    argument list that begins with ``command``.
+    :func:`parse_args` builds it only for a call that names no command
+    first or leaves arguments over; the help, usage and error lines of
+    those calls are this parser's.
     """
     parser = argparse.ArgumentParser(
         prog="nilquiver",
         description="Orbit labels and exact decompositions for nilpotent framed cyclic quivers.",
     )
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        COMMANDS[name](sub)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The arguments of a call, as :func:`build_parser` parses them.
+
+    A call that names a command first is parsed by that command's parser
+    alone: ``ArgumentParser(prog="nilquiver <command>")`` with the command's
+    arguments is the subparser the full parser would hand it to, so it
+    prints the same help and the same errors.  The full parser is built
+    only for a call that names no command first (no arguments, ``--help``,
+    an unknown command, an option first) or that leaves arguments over,
+    which it reports as unrecognized with its own usage line.
+    """
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"nilquiver {argv[0]}")
+        _, add_arguments = COMMANDS[argv[0]]
+        add_arguments(parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a call builds only the subparser it runs; anything else (no
-    # arguments, help, an unknown command, an option first) gets them all
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    # one parser for a call that names its command; all six only for a
+    # call that names none first or leaves arguments over
+    args = parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -553,6 +554,39 @@ def test_selfcheck_label_count_fails_on_a_wrong_count(monkeypatch, capsys, ell):
     assert out.count("FAIL") == 1 and out.count("PASS") == 4
 
 
+SELFCHECK_CAP = f"error: enumeration exceeds the cap of {cli.SELFCHECK_MAX_LABELS}\n"
+
+
+@pytest.mark.parametrize(
+    "n, ell, message",
+    [
+        (2, 900, SELFCHECK_CAP),
+        (1000, 1000, "error: input too large: maximum recursion depth exceeded\n"),
+        (6, 3, SELFCHECK_CAP),  # 86,036 labels, under the enumeration cap
+    ],
+    ids=["many-vertices", "too-deep", "over-the-bound"],
+)
+def test_selfcheck_refuses_an_oversized_cone_before_printing(n, ell, message):
+    code, out, err = run_cli(["selfcheck", "--n", str(n), "--ell", str(ell)], timeout=20)
+    assert (code, out, err) == (2, "", message)
+
+
+def test_selfcheck_admits_a_cone_at_the_bound(monkeypatch, capsys):
+    # (n, ell) = (1, 3) has 14 labels
+    monkeypatch.setattr(cli, "SELFCHECK_MAX_LABELS", 14)
+    assert main(["selfcheck", "--n", "1", "--ell", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "PASS frobenius-roundtrip (7 partitions)\n"
+        "PASS diagram-roundtrip\n"
+        "PASS core-quotient-roundtrip\n"
+        "PASS label-count (14 labels)\n"
+        "PASS decomposition-oracle (14 cases)\n"
+    )
+    monkeypatch.setattr(cli, "SELFCHECK_MAX_LABELS", 13)
+    assert main(["selfcheck", "--n", "1", "--ell", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: enumeration exceeds the cap of 13\n")
+
+
 def test_bad_flags_exit_2():
     code, _, _ = run_cli(["enumerate-orbits", "--n", "-1", "--ell", "1"])
     assert code == 2
@@ -604,6 +638,22 @@ def parser_corpus(tmp_path):
         ["decompose", "--input", rep, "translate"],
         ["decompose", "--inp", rep],
         ["translate", "--fr", "ah", "--to", "johnson", "--inp", ah, "--el", "1"],
+        # --opt=value, abbreviations, a repeated option and "--"
+        ["translate", "--from=ah", "--to=johnson", f"--input={ah}", "--ell=1"],
+        ["enumerate-orbits", "--n=2", "--el=2", "--x=1"],
+        ["render", "--part", "[3,1]", "--form", "dot", "--e", "2"],
+        ["enumerate-orbits", "--n", "1", "--n", "2", "--ell", "1"],
+        ["reptype", "3", "--", "2"],
+        ["reptype", "--", "2", "2"],
+        # help after other options, an extra positional, an unknown option
+        # ahead of the required ones
+        ["translate", "--from", "ah", "--to", "label", "-h"],
+        ["enumerate-orbits", "--n", "2", "--ell", "1", "--help"],
+        ["enumerate-orbits", "--n", "1", "--ell", "1", "extra"],
+        ["selfcheck", "--n", "1", "--ell", "1", "1"],
+        ["enumerate-orbits", "--bogus", "--n", "1", "--ell", "1"],
+        ["translate", "--verbose", "--from", "ah", "--to", "label", "--input", ah],
+        ["decompose", "--bogus", "--input"],
         ["enumerate-orbits", "--n", "2", "--ell", "2"],
         ["translate", "--from", "ah", "--to", "label", "--input", ah],
         ["decompose", "--input", rep],
@@ -617,8 +667,7 @@ def test_main_matches_the_all_commands_parser(tmp_path, monkeypatch, capsys):
     corpus = parser_corpus(tmp_path)
     got = [cli_outcome(capsys, argv) for argv in corpus]
     # the oracle: every call parsed by the parser that carries all six commands
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    monkeypatch.setattr(cli, "parse_args", lambda argv: cli.build_parser().parse_args(argv))
     expected = [cli_outcome(capsys, argv) for argv in corpus]
     for argv, a, b in zip(corpus, got, expected):
         assert a == b, argv
@@ -629,8 +678,8 @@ def test_main_matches_the_all_commands_parser(tmp_path, monkeypatch, capsys):
 def test_main_builds_only_the_invoked_command(monkeypatch, capsys):
     built = []
     table = {
-        name: (lambda sub, name=name, add=add: (built.append(name), add(sub)))
-        for name, add in cli.COMMANDS.items()
+        name: (help_line, lambda parser, name=name, add=add: (built.append(name), add(parser)))
+        for name, (help_line, add) in cli.COMMANDS.items()
     }
     monkeypatch.setattr(cli, "COMMANDS", table)
     assert main(["reptype", "2", "2"]) == 0
@@ -642,6 +691,55 @@ def test_main_builds_only_the_invoked_command(monkeypatch, capsys):
         assert built == list(table), argv
         built.clear()
     capsys.readouterr()
+
+
+def count_parsers(monkeypatch):
+    """The prog of every ``argparse.ArgumentParser`` built from now on,
+    subparsers included, in the order they are built."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_a_well_formed_call_builds_one_parser(tmp_path, monkeypatch, capsys):
+    calls = parser_corpus(tmp_path)[-6:]
+    assert [argv[0] for argv in calls] == list(cli.COMMANDS)
+    built = count_parsers(monkeypatch)
+    for argv in calls:
+        assert main(argv) == 0, argv
+        assert built == [f"nilquiver {argv[0]}"], argv
+        built.clear()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reptype", "2", "2", "3"],
+        ["enumerate-orbits", "--bogus", "--n", "1", "--ell", "1"],
+        ["selfcheck", "--n", "1", "--ell", "1", "--", "x"],
+    ],
+    ids=["extra-positional", "unknown-option-first", "after-double-dash"],
+)
+def test_an_unrecognized_argument_reaches_the_full_parser(argv, monkeypatch, capsys):
+    built = count_parsers(monkeypatch)
+    got = cli_outcome(capsys, argv)
+    full = ["nilquiver", *(f"nilquiver {name}" for name in cli.COMMANDS)]
+    assert built == [f"nilquiver {argv[0]}", *full]
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    assert got == (captured.out, captured.err, exc.value.code)
+    assert got[0] == "" and got[2] == 2
+    assert got[1].startswith("usage: nilquiver [-h]")
+    assert "error: unrecognized arguments: " in got[1]
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
