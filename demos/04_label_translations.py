@@ -6,7 +6,9 @@ striped bipartition of ell = 1 with markings mu, and deleting its
 removable rows translates it into the canonical label.  The cyclic case
 starts from a striped bipartition (coloured rows plus a marking function)
 and deletes rows by the same rule.  Both inverses are built from the
-label's circle diagrams.
+label's circle diagrams.  ``build_framed_jordan`` builds the normal form
+of a bipartition as a marked nilpotent matrix, and ``framed_jordan_type``
+reads the bipartition back off the matrix by linear algebra.
 
 Run with:  python3 demos/04_label_translations.py
 """
@@ -16,6 +18,8 @@ from nilquiver import (
     StripedBipartition,
     bipartition_as_striped,
     bipartition_to_label,
+    build_framed_jordan,
+    framed_jordan_type,
     label_to_bipartition,
     removable_rows_cyclic,
     striped_from_label,
@@ -29,6 +33,8 @@ print(f"removable rows: {sorted(removable_rows_cyclic(bipartition_as_striped(mu,
 eta, zeta = bipartition_to_label(mu, nu)
 print(f"canonical label: ({eta};{zeta})")
 print(f"inverse: {label_to_bipartition(eta, zeta)}")
+rep = build_framed_jordan(mu, nu)
+print(f"read back off the normal form: {framed_jordan_type(rep.framing_vector, rep.maps[0])}")
 print()
 
 s = StripedBipartition(

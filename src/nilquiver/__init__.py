@@ -16,8 +16,6 @@ from .partitions import (
     FrobeniusPartition,
     Multipartition,
     Partition,
-    enumerate_bipartitions,
-    enumerate_multipartitions,
     enumerate_partitions,
 )
 from .residues import (

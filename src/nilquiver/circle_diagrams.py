@@ -290,14 +290,14 @@ def to_dot(diagram: "CircleDiagram | FrobeniusCircleDiagram") -> str:
     also carries the graph comment ``"marked"``, so that the empty marked
     diagram reads back as marked."""
     ell = diagram.ell
-    nodes: list[tuple[str, int, bool]] = []
+    # the nodes of each block, in circle order
+    nodes: list[list[tuple[str, bool]]] = [[] for _ in range(ell)]
     edges: list[tuple[str, str]] = []
     for c_idx, (start, length, mark) in enumerate(diagram.chains()):
         prev = None
         for k in range(length):
-            block = (start + k) % ell
             name = f"c{c_idx}_{k}"
-            nodes.append((name, block, mark is not None and k == mark))
+            nodes[(start + k) % ell].append((name, mark is not None and k == mark))
             if prev is not None:
                 edges.append((prev, name))
             prev = name
@@ -308,10 +308,9 @@ def to_dot(diagram: "CircleDiagram | FrobeniusCircleDiagram") -> str:
     for block in range(ell):
         lines.append(f"  subgraph cluster_{block} {{")
         lines.append(f'    label="block {block}";')
-        for name, b, marked in nodes:
-            if b == block:
-                shape = "box" if marked else "circle"
-                lines.append(f'    {name} [shape={shape}, label="{b}"];')
+        for name, marked in nodes[block]:
+            shape = "box" if marked else "circle"
+            lines.append(f'    {name} [shape={shape}, label="{block}"];')
         lines.append("  }")
     for a, b in edges:
         lines.append(f"  {a} -> {b};")

@@ -25,7 +25,6 @@ from .decomposer import decompose_enhanced
 from .orbit_maps import (
     StripedBipartition,
     bipartition_to_label,
-    enumerate_striped,
     label_to_bipartition,
     striped_from_label,
     striped_label,
@@ -33,11 +32,10 @@ from .orbit_maps import (
 from .partitions import (
     Multipartition,
     Partition,
-    enumerate_bipartitions,
     enumerate_partitions,
     json_ints,
 )
-from .rep_builder import QuiverRep, build_framed_jordan, build_striped
+from .rep_builder import QuiverRep, build_striped
 from .residues import (
     DimensionVector,
     OrbitLabel,
@@ -260,13 +258,19 @@ def _parse_diagram(text: str):
 #: The most boxes ``render`` draws, of a partition or of a diagram's
 #: circles: every format writes a few bytes per box, so a short argument
 #: such as "[300000000]" or a circle of that length must not buy hundreds
-#: of megabytes of output.
+#: of megabytes of output.  DOT also writes one cluster per block, so there
+#: the blocks count toward the bound too.
 RENDER_MAX_BOXES = 100_000
 
 
-def _check_render_size(what: str, boxes: int) -> None:
+def _check_render_size(what: str, boxes: int, ell: int | None, fmt: str) -> None:
     if boxes > RENDER_MAX_BOXES:
         raise ValueError(f"the {what} has {boxes} boxes; render draws at most {RENDER_MAX_BOXES}")
+    if fmt == "dot" and ell is not None and boxes + ell > RENDER_MAX_BOXES:
+        raise ValueError(
+            f"the {what} has {boxes} boxes in {ell} blocks; "
+            f"render --format dot draws at most {RENDER_MAX_BOXES} boxes and blocks"
+        )
 
 
 def _cmd_render(args) -> int:
@@ -276,13 +280,15 @@ def _cmd_render(args) -> int:
         raise ValueError("need ell >= 1")
     if args.partition is not None:
         lam = Partition.from_text(args.partition)
-        _check_render_size("partition", lam.size)
+        _check_render_size("partition", lam.size, args.ell, args.format)
         print(_render_partition(lam, args.ell, args.format))
         return 0
-    # a parsed diagram holds one (start, length, mark) per circle, whatever
-    # the lengths, so the bound is read off it before anything is drawn
+    # a parsed diagram holds its ell and one (start, length, mark) per
+    # circle, whatever the lengths, so the bound is read off it before
+    # anything is drawn
     diagram = _read_payload(args.diagram, _parse_diagram)
-    _check_render_size("diagram", sum(length for _, length, _ in diagram.chains()))
+    boxes = sum(length for _, length, _ in diagram.chains())
+    _check_render_size("diagram", boxes, diagram.ell, args.format)
     print(_render_diagram(diagram, args.format))
     return 0
 
@@ -311,9 +317,9 @@ def _cmd_reptype(args) -> int:
 
 #: The most orbit labels ``selfcheck`` takes on, counted before its first
 #: line is printed.  Its decomposition oracle decomposes one representation
-#: per label, and at ell = 1 one per bipartition of every size up to n, so
-#: the work per label grows with n: the slowest cone admitted is (13, 1),
-#: 1,770 labels and 4,902 decompositions.
+#: per label, whose cost grows with its dimension n*ell + 1: the slowest
+#: cone admitted is (13, 1), 1,770 labels in 26 s on a 2-vCPU x86-64 host,
+#: against 1.3 s for (2, 5), 1,846 labels.
 SELFCHECK_MAX_LABELS = 2_000
 
 
@@ -356,25 +362,13 @@ def _cmd_selfcheck(args) -> int:
 
     report("label-count", len(labels) == cone_count(n, ell), f"{len(labels)} labels")
 
-    ok = True
-    cases = 0
-    if ell == 1:
-        for m in range(n + 1):
-            for bp in enumerate_bipartitions(m):
-                rep = build_framed_jordan(bp.first, bp.second)
-                eta, zeta = bipartition_to_label(bp.first, bp.second)
-                got = decompose_enhanced(rep)
-                if (got.framed_part, got.plain_parts[0]) != (eta, zeta):
-                    ok = False
-                cases += 1
-    else:
-        for s in enumerate_striped(ell, delta(ell, n)):
-            want = striped_label(s)
-            got = decompose_enhanced(build_striped(s)).label()
-            if got != want:
-                ok = False
-            cases += 1
-    report("decomposition-oracle", ok, f"{cases} cases")
+    # striped_from_label certifies striped_label(s) == label, so each
+    # label's striped representative must decompose back to it
+    ok = all(
+        decompose_enhanced(build_striped(striped_from_label(label))).label() == label
+        for label in labels
+    )
+    report("decomposition-oracle", ok, f"{len(labels)} cases")
 
     return 1 if failures else 0
 

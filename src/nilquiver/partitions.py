@@ -301,34 +301,3 @@ def enumerate_partitions(n: int, max_count: int = DEFAULT_ENUMERATION_CAP) -> li
         if len(out) > max_count:
             raise ValueError(f"enumeration exceeds the cap of {max_count}")
     return out
-
-
-def enumerate_bipartitions(n: int, max_count: int = DEFAULT_ENUMERATION_CAP) -> list[Bipartition]:
-    """All bipartitions of n, in the order of the 2-multipartitions: first
-    component sizes run from n down to 0, each component lex decreasing."""
-    return [Bipartition(*m) for m in enumerate_multipartitions(n, 2, max_count)]
-
-
-def enumerate_multipartitions(
-    n: int, ell: int, max_count: int = DEFAULT_ENUMERATION_CAP
-) -> list[Multipartition]:
-    """All ell-multipartitions of n, componentwise lex decreasing."""
-    if ell < 1:
-        raise ValueError("ell must be positive")
-    out: list[Multipartition] = []
-
-    def fill(i: int, remaining: int, acc: list[Partition]):
-        if i == ell - 1:
-            for last in enumerate_partitions(remaining, max_count):
-                out.append(Multipartition(tuple(acc) + (last,)))
-                if len(out) > max_count:
-                    raise ValueError(f"enumeration exceeds the cap of {max_count}")
-            return
-        for m in range(remaining, -1, -1):
-            for comp in enumerate_partitions(m, max_count):
-                acc.append(comp)
-                fill(i + 1, remaining - m, acc)
-                acc.pop()
-
-    fill(0, n, [])
-    return out

@@ -293,17 +293,17 @@ def _admissible_partitions(target: tuple[int, ...]):
     Row i (1-based) of length p holds the negated contents i-1, ..., i-p.
     Adding boxes only raises the residue, so a row that overflows some
     vertex at length p overflows it at every greater length, and so does
-    every partition that extends it."""
+    every partition that extends it.  Box k of the row lands on vertex
+    (i-1-k) mod ell after k // ell earlier boxes there, so the first box
+    that overflows vertex (i-1-j) mod ell is box deficit*ell + j, and the
+    longest row that fits is read off without growing it box by box."""
     ell = len(target)
 
     def walk(parts: tuple[int, ...], deficit: tuple[int, ...], cap: int):
         row = len(parts) + 1
-        # grow the next row box by box while it fits, then shrink it again
-        left = list(deficit)
-        longest = 0
-        while longest < cap and left[(row - 1 - longest) % ell]:
-            longest += 1
-            left[(row - longest) % ell] -= 1
+        longest = min(cap, *(deficit[(row - 1 - j) % ell] * ell + j for j in range(ell)))
+        left = list(map(operator.sub, deficit, run_vector((row - longest) % ell, longest, ell)))
+        # shrink the row from its longest, giving each box back to its vertex
         for p in range(longest, 0, -1):
             yield from walk(parts + (p,), tuple(left), p)
             left[(row - p) % ell] += 1

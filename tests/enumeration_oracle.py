@@ -1,5 +1,6 @@
-"""The direct orbit-label and striped-bipartition searches and per-label
-row rendering, kept as test oracles.
+"""The direct orbit-label and striped-bipartition searches, the listings of
+all bipartitions and multipartitions, and per-label row rendering, kept as
+test oracles.
 
 ``residues.enumerate_orbit_labels`` walks only the admissible partitions,
 in output order; it enters only chain remainders that
@@ -27,11 +28,20 @@ the circlewise filter it applied to the listed fills before.
 The knapsack counts ``residues.chain_counts`` and ``residues.cone_count``,
 which share no code with the fill search or the admissible walk, live in
 ``src`` for ``selfcheck``; the tests import them from there.
+
+``enumerate_bipartitions`` and ``enumerate_multipartitions`` list every
+bipartition and every ell-multipartition of n from ``enumerate_partitions``
+alone.  The library labels the ell = 1 cone through the striped
+bipartitions, as it does every other cone, so only the tests list
+Achar-Henderson bipartitions: each one's normal form
+``build_framed_jordan(mu, nu)`` is an input whose answer
+``bipartition_to_label`` gives without the label enumeration.
 """
 
 from __future__ import annotations
 
 from nilquiver import (
+    Bipartition,
     DimensionVector,
     Multipartition,
     OrbitLabel,
@@ -44,6 +54,38 @@ from nilquiver import (
     run_vector,
     zero_hits,
 )
+from nilquiver.partitions import DEFAULT_ENUMERATION_CAP
+
+
+def enumerate_bipartitions(n: int, max_count: int = DEFAULT_ENUMERATION_CAP) -> list[Bipartition]:
+    """All bipartitions of n, in the order of the 2-multipartitions: first
+    component sizes run from n down to 0, each component lex decreasing."""
+    return [Bipartition(*m) for m in enumerate_multipartitions(n, 2, max_count)]
+
+
+def enumerate_multipartitions(
+    n: int, ell: int, max_count: int = DEFAULT_ENUMERATION_CAP
+) -> list[Multipartition]:
+    """All ell-multipartitions of n, componentwise lex decreasing."""
+    if ell < 1:
+        raise ValueError("ell must be positive")
+    out: list[Multipartition] = []
+
+    def fill(i: int, remaining: int, acc: list[Partition]):
+        if i == ell - 1:
+            for last in enumerate_partitions(remaining, max_count):
+                out.append(Multipartition(tuple(acc) + (last,)))
+                if len(out) > max_count:
+                    raise ValueError(f"enumeration exceeds the cap of {max_count}")
+            return
+        for m in range(remaining, -1, -1):
+            for comp in enumerate_partitions(m, max_count):
+                acc.append(comp)
+                fill(i + 1, remaining - m, acc)
+                acc.pop()
+
+    fill(0, n, [])
+    return out
 
 
 def chain_allowed(i: int, length: int, ell: int, x: int) -> bool:

@@ -28,8 +28,6 @@ from nilquiver import (
     decompose_enhanced,
     delta,
     ell_quotient_core,
-    enumerate_bipartitions,
-    enumerate_multipartitions,
     enumerate_orbit_labels,
     enumerate_partitions,
     enumerate_striped,
@@ -46,6 +44,7 @@ from nilquiver.linalg import RationalMatrix
 from nilquiver.rep_type import CoveringWindow, RepType
 
 import jordan_oracle
+from enumeration_oracle import enumerate_bipartitions, enumerate_multipartitions
 from fingerprint_oracle import hom_fingerprint
 
 P = Partition

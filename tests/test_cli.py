@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -400,6 +401,47 @@ def test_render_draws_a_diagram_at_the_box_bound(monkeypatch, capsys):
     )
 
 
+#: A short input that asks for 50,000,000 blocks, in each of the three
+#: forms ``render`` reads: a partition and its ell, diagram JSON, DOT text.
+HUGE_ELL_RENDERS = {
+    "partition": (["--partition", "[1]", "--ell", "50000000"], None, "partition has 1 boxes", 50000000),
+    "json": (["--diagram", "-"], '{"ell": 50000000, "circles": []}', "diagram has 0 boxes", 50000000),
+    "dot": (["--diagram", "-"], "digraph circles {\n  subgraph cluster_50000000 {\n  }\n}\n",
+            "diagram has 0 boxes", 50000001),
+}
+
+#: The most seconds a refused input may take.  The refusals below read
+#: under 1 s each (about 0.2 s, and 0.6-0.9 s for the enumeration cap of
+#: 1,000,000 labels); growing the output before the bound took 10-20 s.
+FAST_REFUSAL_S = 5
+
+
+@pytest.mark.parametrize("form", HUGE_ELL_RENDERS)
+def test_render_dot_refuses_a_huge_ell_at_once(form):
+    # DOT writes one cluster per block, so the blocks count toward the bound
+    args, stdin, what, ell = HUGE_ELL_RENDERS[form]
+    code, out, err = run_cli(["render", *args, "--format", "dot"], stdin, timeout=FAST_REFUSAL_S)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: the {what} in {ell} blocks; "
+        "render --format dot draws at most 100000 boxes and blocks\n"
+    )
+
+
+def test_render_dot_draws_at_the_block_bound(monkeypatch, capsys):
+    assert main(["render", "--partition", "[1]", "--ell", "99999", "--format", "dot"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("subgraph cluster_") == 99999 and out.count("shape=box") == 1
+    assert main(["render", "--partition", "[1]", "--ell", "100000", "--format", "dot"]) == 2
+    assert "draws at most 100000 boxes and blocks" in capsys.readouterr().err
+    # ASCII and ytableau output do not grow with ell
+    assert main(["render", "--partition", "[2]", "--ell", "50000000", "--format", "ascii"]) == 0
+    assert capsys.readouterr().out == "[s1][ 1]\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(HUGE_ELL_RENDERS["json"][1]))
+    assert main(["render", "--diagram", "-", "--format", "latex-ytableau"]) == 0
+    assert capsys.readouterr().out == "\\begin{ytableau}\n\n\\end{ytableau}\n"
+
+
 def test_render_diagram_dot_parses_back(tmp_path):
     from nilquiver import from_dot
 
@@ -554,6 +596,32 @@ def test_selfcheck_label_count_fails_on_a_wrong_count(monkeypatch, capsys, ell):
     assert out.count("FAIL") == 1 and out.count("PASS") == 4
 
 
+@pytest.mark.parametrize("n, ell", [(3, 1), (2, 2), (1, 3)])
+def test_selfcheck_decomposes_each_label_once(n, ell, capsys):
+    assert main(["selfcheck", "--n", str(n), "--ell", str(ell)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    labels = len(enumerate_orbit_labels(n, ell))
+    assert f"PASS label-count ({labels} labels)" in lines
+    assert f"PASS decomposition-oracle ({labels} cases)" in lines
+
+
+def test_selfcheck_decomposition_oracle_fails_on_a_wrong_label(monkeypatch, capsys):
+    # the (3, 1) cone has 10 labels; only the last one decomposes wrongly
+    real = cli.decompose_enhanced
+    calls = []
+
+    def decompose(rep):
+        calls.append(rep)
+        got = real(rep)
+        return got if len(calls) < 10 else dataclasses.replace(got, framed_part=Partition([4]))
+
+    monkeypatch.setattr(cli, "decompose_enhanced", decompose)
+    assert main(["selfcheck", "--n", "3", "--ell", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL decomposition-oracle (10 cases)" in out.splitlines()
+    assert out.count("FAIL") == 1 and len(calls) == 10
+
+
 SELFCHECK_CAP = f"error: enumeration exceeds the cap of {cli.SELFCHECK_MAX_LABELS}\n"
 
 
@@ -568,6 +636,21 @@ SELFCHECK_CAP = f"error: enumeration exceeds the cap of {cli.SELFCHECK_MAX_LABEL
 )
 def test_selfcheck_refuses_an_oversized_cone_before_printing(n, ell, message):
     code, out, err = run_cli(["selfcheck", "--n", str(n), "--ell", str(ell)], timeout=20)
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("enumerate-orbits", "error: enumeration exceeds the cap of 1000000\n"),
+        ("selfcheck", SELFCHECK_CAP),
+    ],
+    ids=["enumerate-orbits", "selfcheck"],
+)
+def test_a_huge_n_reaches_the_cap_at_once(command, message):
+    # the longest row that fits is read off the deficit, not grown box by box
+    args = [command, "--n", "100000000", "--ell", "1"]
+    code, out, err = run_cli(args, timeout=FAST_REFUSAL_S)
     assert (code, out, err) == (2, "", message)
 
 

@@ -22,7 +22,6 @@ from nilquiver import (
     chain_multiplicities,
     decompose_enhanced,
     direct_sum,
-    enumerate_bipartitions,
     enumerate_orbit_labels,
     enumerate_partitions,
     enumerate_striped,
@@ -36,6 +35,7 @@ from nilquiver.linalg import RationalMatrix
 from nilquiver.rep_builder import QuiverRep
 
 import jordan_oracle
+from enumeration_oracle import enumerate_bipartitions
 from fingerprint_oracle import (
     _HomProbing,
     candidate_labels,

@@ -5,7 +5,7 @@ import time
 
 import pytest
 import translation_oracle
-from enumeration_oracle import fill_with_chains, striped_bipartitions
+from enumeration_oracle import enumerate_bipartitions, fill_with_chains, striped_bipartitions
 from removal_oracle import bipartition_to_label as greedy_label
 from removal_oracle import removable_rows
 
@@ -21,7 +21,6 @@ from nilquiver import (
     column_residue,
     delta,
     diagrams_of_label,
-    enumerate_bipartitions,
     enumerate_orbit_labels,
     enumerate_partitions,
     enumerate_striped,

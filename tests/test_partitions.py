@@ -1,11 +1,10 @@
 import pytest
+from enumeration_oracle import enumerate_bipartitions, enumerate_multipartitions
 
 from nilquiver import (
     FrobeniusPartition,
     Multipartition,
     Partition,
-    enumerate_bipartitions,
-    enumerate_multipartitions,
     enumerate_partitions,
 )
 

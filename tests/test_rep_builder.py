@@ -20,7 +20,6 @@ from nilquiver import (
     conjugate,
     dim_framed,
     direct_sum,
-    enumerate_bipartitions,
     enumerate_orbit_labels,
     enumerate_partitions,
     isomorphic,
@@ -30,6 +29,7 @@ from nilquiver import (
 )
 from nilquiver.linalg import RationalMatrix
 from nilquiver.rep_builder import label_chains
+from enumeration_oracle import enumerate_bipartitions
 from linalg_oracle import random_invertible
 
 P = Partition
