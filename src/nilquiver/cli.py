@@ -318,8 +318,8 @@ def _cmd_reptype(args) -> int:
 #: The most orbit labels ``selfcheck`` takes on, counted before its first
 #: line is printed.  Its decomposition oracle decomposes one representation
 #: per label, whose cost grows with its dimension n*ell + 1: the slowest
-#: cone admitted is (13, 1), 1,770 labels in 26 s on a 2-vCPU x86-64 host,
-#: against 1.3 s for (2, 5), 1,846 labels.
+#: cone admitted is (13, 1), 1,770 labels in 1.9 s on a 2-vCPU x86-64 host,
+#: against 0.7 s for (2, 5), 1,846 labels.
 SELFCHECK_MAX_LABELS = 2_000
 
 
@@ -431,6 +431,16 @@ COMMANDS = {
 }
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Help, usage and error text wrapped at 78 columns, the width argparse
+    picks when no terminal is attached, whatever ``COLUMNS`` or the terminal
+    says: so the text is the same bytes everywhere, and no parser asks the
+    terminal for its size."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=78):
+        super().__init__(prog, indent_increment, max_help_position, width)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser with every command's subparser.
 
@@ -441,10 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nilquiver",
         description="Orbit labels and exact decompositions for nilpotent framed cyclic quivers.",
+        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_line))
+        add_arguments(sub.add_parser(name, help=help_line, formatter_class=_HelpFormatter))
     return parser
 
 
@@ -460,7 +471,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     which it reports as unrecognized with its own usage line.
     """
     if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"nilquiver {argv[0]}")
+        parser = argparse.ArgumentParser(prog=f"nilquiver {argv[0]}", formatter_class=_HelpFormatter)
         _, add_arguments = COMMANDS[argv[0]]
         add_arguments(parser)
         args, extras = parser.parse_known_args(argv[1:])

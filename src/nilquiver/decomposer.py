@@ -32,9 +32,12 @@ glued one.  Hence F = A - B (multiset difference) lists the framed chains,
 G = B - A the glued ones (G_K is absent when a_K = 0), and nu = A & B; the
 hooks come back from the pairing of F and G by rank (``_label_of_chains``).
 
-Linear algebra runs only on the input and takes no nullspace.  From each
-start vertex i the composites P(i, L) of L arrows are formed once each, as
-the next arrow applied to a basis of the previous composite's image (its
+Linear algebra runs only on the input and takes no nullspace.  Each
+arrow's nonzero terms are listed once per call (``_arrow_terms``), and
+every product with the arrow sums only those: a label's representative
+has 0/1 arrows with at most one nonzero per column.  From each start
+vertex i the composites P(i, L) of L arrows are formed once each, as the
+next arrow applied to a basis of the previous composite's image (its
 pivot columns, so only r(i, L) columns are carried on), and one
 fraction-free elimination of [P(i, L) | K_{i+L}] per path step
 (``_rank_tables``; K_j the span of the Krylov vectors x^k v at vertex j)
@@ -58,7 +61,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .circle_diagrams import CircleDiagram
-from .linalg import RationalMatrix, from_columns
+from .linalg import RationalMatrix, _matvec, _terms
 from .orbit_maps import label_to_bipartition
 from .partitions import Bipartition, FrobeniusPartition, Multipartition, Partition
 from .rep_builder import QuiverRep, label_chains
@@ -70,9 +73,16 @@ from .residues import DimensionVector, OrbitLabel, runs_vector
 # ---------------------------------------------------------------------------
 
 
-def _krylov_spans(rep: QuiverRep) -> list[list[tuple]]:
+def _arrow_terms(rep: QuiverRep) -> list[list[list[tuple]]]:
+    """The nonzero terms of each arrow's rows (``linalg._terms``), listed
+    once so every product with that arrow sums only them."""
+    return [_terms(m.rows) for m in rep.maps]
+
+
+def _krylov_spans(rep: QuiverRep, terms: list[list[list[tuple]]]) -> list[list[tuple]]:
     """The Krylov vectors x^k v of a framed input, vector k at vertex k mod
     ell, grouped by vertex; empty lists for an unframed input or v = 0.
+    ``terms`` are the arrows' terms (``_arrow_terms``).
 
     The walk stops at the first zero vector or after ``dims.total`` steps,
     which a nilpotent cycle never needs: every chain has at most ``total``
@@ -85,18 +95,21 @@ def _krylov_spans(rep: QuiverRep) -> list[list[tuple]]:
         if not any(w):
             break
         spans[k % rep.ell].append(w)
-        w = rep.maps[k % rep.ell].apply(w)
+        w = _matvec(terms[k % rep.ell], w)
     return spans
 
 
-def _rank_tables(rep: QuiverRep, spans: list[list[tuple]]) -> tuple[list[list[int]], list[list[int]]]:
+def _rank_tables(
+    rep: QuiverRep, terms: list[list[list[tuple]]], spans: list[list[tuple]]
+) -> tuple[list[list[int]], list[list[int]]]:
     """Path ranks r(i, L) of M and r'(i, L) of M/K, one elimination per
     path step, as one list per start vertex i (zero past its end).
 
     K_j = ``spans[j]`` holds independent vectors at vertex j spanning an
     x-stable subspace.  The composite P(i, L) of L arrows is kept as
     columns spanning its image: the first arrow's own, then the next arrow
-    applied to a basis of the previous composite's image.  One elimination
+    applied to a basis of the previous composite's image, summing only the
+    arrow's nonzero ``terms`` (``_arrow_terms``).  One elimination
     of [P(i, L) | K_{i+L}], P's columns first, gives both ranks: the pivots
     among P's columns count r(i, L), and all pivots less dim K_{i+L} count
     r'(i, L), the rank of the induced map M_i/K_i -> M_{i+L}/K_{i+L}.  The
@@ -110,13 +123,14 @@ def _rank_tables(rep: QuiverRep, spans: list[list[tuple]]) -> tuple[list[list[in
     quotient: list[list[int]] = []
     for i in range(ell):
         plain_row, quotient_row = [main[i]], [main[i] - len(spans[i])]
-        columns = list(rep.maps[i].transpose().rows)
+        columns = list(zip(*rep.maps[i].rows))
         for length in range(1, total + 1):
             if not any(map(any, columns)):
                 break
             end = (i + length) % ell
             span = spans[end]
-            pivots = from_columns(columns + span, main[end]).pivot_columns()
+            stacked = columns + span
+            pivots = RationalMatrix._built(tuple(zip(*stacked)), len(stacked)).pivot_columns()
             rank = bisect_left(pivots, len(columns))
             if length == total:
                 raise ValueError(
@@ -125,7 +139,7 @@ def _rank_tables(rep: QuiverRep, spans: list[list[tuple]]) -> tuple[list[list[in
                 )
             plain_row.append(rank)
             quotient_row.append(len(pivots) - len(span))
-            columns = [rep.maps[end].apply(columns[p]) for p in pivots[:rank]]
+            columns = [_matvec(terms[end], columns[p]) for p in pivots[:rank]]
         plain.append(plain_row)
         quotient.append(quotient_row)
     return plain, quotient
@@ -169,7 +183,7 @@ def chain_multiplicities(rep: QuiverRep) -> dict[tuple[int, int], int]:
     r(i, N-1) - r(i, N) - r(i-1, N) + r(i-1, N+1) times.  Raises when the
     cycle map is not nilpotent.
     """
-    plain, _ = _rank_tables(rep, [[] for _ in range(rep.ell)])
+    plain, _ = _rank_tables(rep, _arrow_terms(rep), [[] for _ in range(rep.ell)])
     return _chain_counts(rep.dims.main, plain)
 
 
@@ -259,8 +273,9 @@ def decompose_enhanced(rep: QuiverRep) -> Decomposition:
     and the empty partition.  The label's own (A, B) must equal the
     input's, else AssertionError; a non-nilpotent input raises ValueError.
     """
-    spans = _krylov_spans(rep)
-    plain_ranks, quotient_ranks = _rank_tables(rep, spans)
+    terms = _arrow_terms(rep)
+    spans = _krylov_spans(rep, terms)
+    plain_ranks, quotient_ranks = _rank_tables(rep, terms, spans)
     plain = _chain_counts(rep.dims.main, plain_ranks)
     if not rep.framed:
         return Decomposition(None, CircleDiagram(rep.ell, tuple(plain.elements())).multipartition())

@@ -1,22 +1,26 @@
 """Exact linear algebra over the rationals.
 
 Everything in this module is exact: entries are :class:`fractions.Fraction`
-values, and ranks, products and inverses run in integer arithmetic.  Ranks
-come from fraction-free (Bareiss) elimination on rows cleared of their
-denominators one by one.  Products and inverses share one private integer
-kernel: ``_common`` writes a matrix as integers over one denominator,
-``_product`` multiplies integer matrices summing only the nonzero terms of
-the right factor, and ``_inverse`` runs fraction-free Gauss-Jordan
-elimination (Bareiss, Math. Comp. 22, 1968) to return (H, p) with
-g^-1 = H / p.  ``RationalMatrix.__matmul__`` and ``inverse`` call the
-kernel and divide each result entry back into a ``Fraction`` once;
-``rep_builder``'s base changes call it directly, so a triple product
-g M g^-1 builds its ``Fraction`` entries only at the end.
-``rref`` and ``nullspace`` (exact ``Fraction`` Gauss-Jordan reduction) have
-no caller in the package: they serve the test oracles and the benchmark's
-tracer, which wraps them by name.  There are no
-tolerances anywhere in the package; orbit invariants are discrete rank data
-and must stay that way.
+values, and ranks, matrix products and inverses run in integer arithmetic.
+Ranks come from fraction-free (Bareiss) elimination on rows cleared of
+their denominators one by one.  Every product sums only nonzero terms:
+``_terms`` lists the terms (j, x), x != 0, of each row of a matrix, and
+``_matvec`` multiplies a matrix given by those terms by a column of
+``Fraction``s, so a caller that applies one arrow many times lists its
+terms once (the decomposer does, per call; ``RationalMatrix.apply`` lists
+them per product).  Products of matrices and inverses share one private
+integer kernel: ``_common`` writes a matrix as integers over one
+denominator, ``_product`` multiplies integer matrices summing only the
+listed terms of the right factor, and ``_inverse`` runs fraction-free
+Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) to return
+(H, p) with g^-1 = H / p.  ``RationalMatrix.__matmul__`` and ``inverse``
+call the kernel and divide each result entry back into a ``Fraction``
+once; ``rep_builder``'s base changes call it directly, so a triple product
+g M g^-1 builds its ``Fraction`` entries only at the end.  ``rref`` and
+``nullspace`` (exact ``Fraction`` Gauss-Jordan reduction) have no caller
+in the package: they serve the test oracles and the benchmark's tracer,
+which wraps them by name.  There are no tolerances anywhere in the
+package; orbit invariants are discrete rank data and must stay that way.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import lcm
+
+_ZERO = Fraction(0)
 
 
 def as_fraction(x) -> Fraction:
@@ -83,10 +89,27 @@ def _common(rows) -> tuple[list[list[int]], int]:
     return [[x.numerator * (e // x.denominator) for x in row] for row in rows], e
 
 
+def _terms(rows) -> list[list[tuple]]:
+    """The nonzero terms (j, x) of each row, x = row[j], in column order."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+
+
+def _matvec(terms: list[list[tuple]], vec) -> tuple[Fraction, ...]:
+    """The matrix whose rows have the nonzero terms ``terms`` (see
+    ``_terms``) times the column vector vec: each entry sums the products of
+    its row's terms with the nonzero entries of vec they meet, and is
+    ``Fraction(0)`` when there are none."""
+    out = []
+    for row in terms:
+        products = [x * v for j, x in row if (v := vec[j])]
+        out.append(sum(products[1:], products[0]) if products else _ZERO)
+    return tuple(out)
+
+
 def _product(a: list[list[int]], b: list[list[int]], ncols: int) -> list[list[int]]:
     """The integer product a b, b having ncols columns: each row of a sums
     integer multiples of the nonzero terms of the rows of b it meets."""
-    terms = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    terms = _terms(b)
     out = []
     for row in a:
         acc = [0] * ncols
@@ -206,10 +229,10 @@ class RationalMatrix:
         )
 
     def apply(self, vec: tuple) -> tuple[Fraction, ...]:
-        """Matrix times column vector."""
+        """Matrix times column vector: ``_matvec`` over this matrix's terms."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
+        return _matvec(_terms(self.rows), vec)
 
     def transpose(self) -> "RationalMatrix":
         if self.nrows == 0:
@@ -305,10 +328,3 @@ def block_diag(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     zeros_right, zeros_left = (Fraction(0),) * b.ncols, (Fraction(0),) * a.ncols
     rows = tuple(row + zeros_right for row in a.rows) + tuple(zeros_left + row for row in b.rows)
     return RationalMatrix._built(rows, a.ncols + b.ncols)
-
-
-def from_columns(cols: list[tuple], nrows: int) -> RationalMatrix:
-    """Matrix whose columns are the given vectors (each of length nrows)."""
-    if not cols:
-        return RationalMatrix.zero(nrows, 0)
-    return RationalMatrix(tuple(zip(*cols)), len(cols))

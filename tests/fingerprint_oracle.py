@@ -16,6 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
+from linalg_oracle import from_columns
+
 from nilquiver import (
     CircleDiagram,
     FrobeniusPartition,
@@ -26,7 +28,7 @@ from nilquiver import (
     frobenius_diagram_of_partition,
 )
 from nilquiver.decomposer import chain_multiplicities
-from nilquiver.linalg import RationalMatrix, from_columns
+from nilquiver.linalg import RationalMatrix
 from nilquiver.rep_builder import QuiverRep, label_chains
 
 

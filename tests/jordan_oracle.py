@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from linalg_oracle import from_columns
+
 from nilquiver import Bipartition, Partition
-from nilquiver.linalg import RationalMatrix, from_columns
+from nilquiver.linalg import RationalMatrix
 
 
 def jordan_type(x: RationalMatrix) -> Partition:

@@ -11,7 +11,9 @@ hstacked [P(i, L) | K_{i+L}].
 
 from __future__ import annotations
 
-from nilquiver.linalg import RationalMatrix, from_columns
+from linalg_oracle import dense_apply, from_columns
+
+from nilquiver.linalg import RationalMatrix
 from nilquiver.rep_builder import QuiverRep
 
 
@@ -27,7 +29,7 @@ def krylov_spans(rep: QuiverRep) -> list[list[tuple]]:
     w, k = rep.framing_vector, 0
     while any(w):
         spans[k % rep.ell].append(w)
-        w = rep.maps[k % rep.ell].apply(w)
+        w = dense_apply(rep.maps[k % rep.ell], w)
         k += 1
     return spans
 

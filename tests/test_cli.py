@@ -825,6 +825,19 @@ def test_an_unrecognized_argument_reaches_the_full_parser(argv, monkeypatch, cap
     assert "error: unrecognized arguments: " in got[1]
 
 
+def test_help_and_usage_text_ignore_the_terminal_width(monkeypatch, capsys):
+    # help, usage and error lines wrap at one width, so they are the same
+    # bytes under any COLUMNS
+    calls = [["--help"], ["translate", "--help"], ["translate", "--from", "ah"]]
+    outcomes = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        outcomes.append([cli_outcome(capsys, argv) for argv in calls])
+    assert outcomes[0] == outcomes[1]
+    assert [code for _, _, code in outcomes[0]] == [0, 0, 2]
+    assert "error: the following arguments are required: --to, --input" in outcomes[0][2][1]
+
+
 def test_main_reads_sys_argv(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["nilquiver", "reptype", "2", "2"])
     assert main() == 0

@@ -4,13 +4,14 @@ import sys
 from fractions import Fraction
 
 import pytest
-from linalg_oracle import dense_product, rref_inverse
+from linalg_oracle import dense_apply, dense_product, from_columns, rref_inverse
 
 from nilquiver.linalg import (
     RationalMatrix,
+    _matvec,
+    _terms,
     as_fraction,
     block_diag,
-    from_columns,
 )
 
 
@@ -123,6 +124,34 @@ def test_from_columns():
     assert m.shape == (2, 3)
     assert m.rank() == 2
     assert from_columns([], 4).shape == (4, 0)
+
+
+def test_matvec_matches_the_dense_oracle():
+    # the sum over each row's listed nonzero terms against the dense sum
+    # over every Fraction pair, on matrices with zero rows, zero columns and
+    # 0/1 entries, and on vectors with zero entries; every entry a Fraction
+    rng = random.Random(29)
+    pools = ([0, 1], [0, 0, 1, -2, Fraction(1, 3), Fraction(-5, 7)])
+    for trial in range(400):
+        pool = pools[trial % 2]
+        nr, nc = rng.randint(0, 5), rng.randint(0, 5)
+        rows = [[rng.choice(pool) for _ in range(nc)] for _ in range(nr)]
+        if nr and trial % 3 == 0:
+            rows[rng.randrange(nr)] = [0] * nc
+        if nc and trial % 5 < 2:
+            zero_column = rng.randrange(nc)
+            for row in rows:
+                row[zero_column] = 0
+        m = RationalMatrix(rows, nc)
+        vec = tuple(as_fraction(rng.choice(pool)) for _ in range(nc))
+        got = _matvec(_terms(m.rows), vec)
+        assert got == dense_apply(m, vec)
+        assert m.apply(vec) == got
+        assert all(type(x) is Fraction for x in got)
+    assert _matvec(_terms(RationalMatrix.zero(3, 2).rows), (Fraction(1), Fraction(2))) == (Fraction(0),) * 3
+    assert RationalMatrix.zero(2, 0).apply(()) == (Fraction(0),) * 2
+    with pytest.raises(ValueError):
+        RationalMatrix.identity(2).apply((Fraction(1),))
 
 
 def test_zero_dimension_products():
