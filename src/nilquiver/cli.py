@@ -9,7 +9,6 @@ fixed input.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import operator
 import sys
@@ -45,6 +44,7 @@ from .residues import (
     ell_quotient_core,
     enumerate_orbit_labels,
     from_core_quotient,
+    orbit_label_groups,
     runs_vector,
 )
 from .rep_type import classify, tits_form, wildness_witness
@@ -73,40 +73,49 @@ def _cmd_enumerate(args) -> int:
     if args.n < 0 or args.ell < 1 or (args.x is not None and args.x < 1):
         raise ValueError("need n >= 0, ell >= 1 and x >= 1")
     ell = args.ell
-    labels = enumerate_orbit_labels(args.n, ell)
-    if args.x is not None:
-        labels = [lbl for lbl in labels if lbl.lam.weight(ell) <= args.x]
     target = delta(ell, args.n).main
+    groups = orbit_label_groups(target)
+    if args.x is not None:
+        groups = [group for group in groups if group[0].weight(ell) <= args.x]
     ok = f"dims={DimensionVector(1, target)}  [ok]\n"
     # the text, chains and chain vector of each component are built once
-    # per (vertex, parts) and joined per row
+    # per (vertex, parts) and joined once per multipartition of a fill list
     components: dict[tuple[int, tuple[int, ...]], tuple[str, str, tuple[int, ...]]] = {}
+
+    def columns(nu: Multipartition) -> tuple[str, str, tuple[int, ...]]:
+        texts, plain, vector = [], [], (0,) * ell
+        for i, comp in enumerate(nu):
+            key = (i, comp.parts)
+            if key not in components:
+                components[key] = (
+                    str(comp),
+                    ",".join(f"({i},{length})" for length in comp),
+                    runs_vector(((i, length) for length in comp), ell),
+                )
+            text, chains, summand = components[key]
+            texts.append(text)
+            if chains:
+                plain.append(chains)
+            vector = tuple(map(operator.add, vector, summand))
+        return ",".join(texts), ",".join(plain) or "-", vector
+
+    # each fill list's columns, built once per deficit: partitions with one
+    # deficit share its fill list, and the entry holds the list it was
+    # built from, so a group that carries another list builds its own
+    fill_columns: dict[tuple[int, ...], tuple[list, list]] = {}
     rows = []
     bad = 0
-    # the labels come sorted by partition first, so each partition's text,
-    # marked diagram and column residue are computed once per run of equal lam
-    for lam, group in itertools.groupby(labels, key=lambda lbl: lbl.lam):
+    # each partition's text, marked diagram and column residue, once per group
+    for lam, deficit, fills in groups:
         frob = frobenius_diagram_of_partition(lam, ell)
         marked = ",".join(f"(len={p},mark={o})" for p, o in frob.circles) or "-"
         cres = column_residue(lam, ell).main
         head = f"label=({lam};("
         middle = f"))  marked=[{marked}]  plain=["
-        for lbl in group:
-            texts, plain, vector = [], [], (0,) * ell
-            for i, comp in enumerate(lbl.nu):
-                key = (i, comp.parts)
-                if key not in components:
-                    components[key] = (
-                        str(comp),
-                        ",".join(f"({i},{length})" for length in comp),
-                        runs_vector(((i, length) for length in comp), ell),
-                    )
-                text, chains, summand = components[key]
-                texts.append(text)
-                if chains:
-                    plain.append(chains)
-                vector = tuple(map(operator.add, vector, summand))
-            text, plain = ",".join(texts), ",".join(plain) or "-"
+        entry = fill_columns.get(deficit)
+        if entry is None or entry[0] is not fills:
+            entry = fill_columns[deficit] = (fills, [columns(nu) for nu in fills])
+        for text, plain, vector in entry[1]:
             main = tuple(map(operator.add, cres, vector))
             if main == target:
                 tail = ok
@@ -114,10 +123,11 @@ def _cmd_enumerate(args) -> int:
                 bad += 1
                 tail = f"dims={DimensionVector(1, main)}  [BAD]\n"
             rows.append(f"{head}{text}{middle}{plain}]  {tail}")
-    rows.append(f"total: {len(labels)}\n")
+    total = len(rows)
+    rows.append(f"total: {total}\n")
     sys.stdout.write("".join(rows))
     if bad:
-        raise AssertionError(f"{bad} of {len(labels)} rows fail the dimension check")
+        raise AssertionError(f"{bad} of {total} rows fail the dimension check")
     return 0
 
 

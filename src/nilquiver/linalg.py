@@ -234,13 +234,6 @@ class RationalMatrix:
             raise ValueError("vector length mismatch")
         return _matvec(_terms(self.rows), vec)
 
-    def transpose(self) -> "RationalMatrix":
-        if self.nrows == 0:
-            return RationalMatrix(((),) * self.ncols, 0)
-        if self.ncols == 0:
-            return RationalMatrix((), self.nrows)
-        return RationalMatrix(tuple(zip(*self.rows)), self.nrows)
-
     # -- rank and kernel -----------------------------------------------------
 
     def rank(self) -> int:

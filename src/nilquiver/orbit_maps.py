@@ -46,7 +46,7 @@ from .circle_diagrams import (
     frobenius_diagram_of_partition,
 )
 from .partitions import DEFAULT_ENUMERATION_CAP, Multipartition, Partition, json_ints
-from .residues import DimensionVector, OrbitLabel, _orbit_labels, runs_vector
+from .residues import DimensionVector, OrbitLabel, orbit_label_groups, runs_vector
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +295,21 @@ def _rows_of_diagrams(
 def striped_from_label(label: OrbitLabel) -> StripedBipartition:
     """Inverse of :func:`striped_label`: the rows of
     :func:`_rows_of_diagrams` on the label's :func:`diagrams_of_label`,
-    certified once.  They must pass :func:`_striped_error`, and the
-    forward map :func:`striped_label` must send them back to the label;
-    otherwise ``AssertionError`` is raised.  Colours in range, markings at
-    most the row lengths and the row order hold by construction, so no
-    constructor checks the answer again.
+    certified once by :func:`_certified_striped`.
     """
-    frob, circ = diagrams_of_label(label)
+    return _certified_striped(label, *diagrams_of_label(label))
+
+
+def _certified_striped(
+    label: OrbitLabel, frob: FrobeniusCircleDiagram, circ: CircleDiagram
+) -> StripedBipartition:
+    """The rows of :func:`_rows_of_diagrams` on the label's diagrams, certified
+    once.  They must pass :func:`_striped_error`, and the forward map
+    :func:`striped_label` must send them back to the label; otherwise
+    ``AssertionError`` is raised.  Colours in range, markings at most the
+    row lengths and the row order hold by construction, so no constructor
+    checks the answer again.
+    """
     rows = _rows_of_diagrams(frob, circ)
     lam, eps, nu = zip(*rows) if rows else ((), (), ())
     problem = _striped_error(label.ell, lam, eps, nu)
@@ -369,11 +377,19 @@ def enumerate_striped(
     """All striped bipartitions with the given signature, sorted by
     (lam, epsilon, nu): the images under :func:`striped_from_label`, each
     certified by the forward map, of the orbit labels with dimension
-    vector (1; xi).  ``striped_label`` is a bijection at fixed signature,
-    so ``ValueError`` is raised exactly when the labels pass ``max_count``,
-    and they are counted before any is built.
+    vector (1; xi).  The labels come grouped by partition, so each
+    partition's marked diagram is built once per group.  ``striped_label``
+    is a bijection at fixed signature, so ``ValueError`` is raised exactly
+    when the labels pass ``max_count``, and they are counted before any is
+    built.
     """
     if xi.ell != ell:
         raise ValueError("signature has the wrong cycle length")
-    striped = map(striped_from_label, _orbit_labels(xi.main, max_count))
+    striped = []
+    for lam, _, fills in orbit_label_groups(xi.main, max_count):
+        frob = frobenius_diagram_of_partition(lam, ell)
+        striped.extend(
+            _certified_striped(OrbitLabel(lam, nu), frob, CircleDiagram.from_multipartition(nu))
+            for nu in fills
+        )
     return sorted(striped, key=lambda s: (s.lam.parts, s.epsilon, s.nu))

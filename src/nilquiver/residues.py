@@ -209,15 +209,16 @@ def chain_fills(ell: int, caps: tuple[int, ...], max_count: int = DEFAULT_ENUMER
     ``tally(remaining, vertex)`` is the number of those fills, or
     ``max_count + 1`` when there are more than ``max_count`` of them.
 
-    A chain of length N at vertex v occupies run_vector(v, N, ell).  The
-    search only ever enters a remainder that :func:`chain_fillable` accepts:
-    a chain from v covers q-1 at least as often as q for every q != v, so a
-    rise at some q < v never goes away, and a choice at vertex v is dropped,
-    with all its extensions, as soon as its remainder has one.  Without a
-    binding cap every remainder entered can be completed; a cap below the
-    lengths that would complete it only leaves its fill list empty.  All
-    copies of one length are taken in one loop, so the search nests once
-    per distinct length, never once per chain.
+    A chain of length N at vertex v occupies run_vector(v, N, ell), read
+    from a table kept per search.  The search only ever enters a remainder
+    that :func:`chain_fillable` accepts: a chain from v covers q-1 at least
+    as often as q for every q != v, so a rise at some q < v never goes away,
+    and a choice at vertex v is dropped, with all its extensions, as soon
+    as its remainder has one.  Without a binding cap every remainder
+    entered can be completed; a cap below the lengths that would complete
+    it only leaves its fill list empty.  All copies of one length are taken
+    in one loop, so the search nests once per distinct length, never once
+    per chain.
 
     Each state (remainder, vertex) has one ``(count, choices)`` entry,
     written by ``tally``, which generates the state's choices, pairs (chain
@@ -234,13 +235,16 @@ def chain_fills(ell: int, caps: tuple[int, ...], max_count: int = DEFAULT_ENUMER
     done = ((0,) * ell, ell)
     tallies: dict[tuple[tuple[int, ...], int], tuple[int, list]] = {done: (1, [])}
     tails: dict[tuple[tuple[int, ...], int], list] = {done: [()]}
+    steps: dict[tuple[int, int], tuple[int, ...]] = {}  # run_vector(vertex, length, ell)
 
     def collect(vertex, remaining, total, cap, acc):
         """Yield (lengths, rest) for every chain multiset at vertex with
         lengths at most cap that leaves a rest fillable from vertex + 1,
         largest lengths first and acc itself last."""
         for length in range(min(cap, total), 0, -1):
-            step = run_vector(vertex, length, ell)
+            step = steps.get((vertex, length))
+            if step is None:
+                step = steps[vertex, length] = run_vector(vertex, length, ell)
             rests = [remaining]  # rests[k]: the remainder after k copies
             while min(rest := tuple(map(operator.sub, rests[-1], step))) >= 0:
                 if not chain_fillable(rest, vertex):
@@ -296,54 +300,67 @@ def _admissible_partitions(target: tuple[int, ...]):
     every partition that extends it.  Box k of the row lands on vertex
     (i-1-k) mod ell after k // ell earlier boxes there, so the first box
     that overflows vertex (i-1-j) mod ell is box deficit*ell + j, and the
-    longest row that fits is read off without growing it box by box."""
+    longest row that fits is read off without growing it box by box.
+
+    The walk keeps an explicit stack of frames [parts, deficit, left, p],
+    one per partition whose extensions are still being walked: its next
+    row is p boxes long and leaves left.  A frame is yielded when its
+    rows down to length 1 are done, so each partition is yielded once, not
+    passed up through one generator per row."""
     ell = len(target)
-
-    def walk(parts: tuple[int, ...], deficit: tuple[int, ...], cap: int):
+    stack = []
+    parts, deficit, cap = (), target, sum(target)
+    while True:
         row = len(parts) + 1
-        longest = min(cap, *(deficit[(row - 1 - j) % ell] * ell + j for j in range(ell)))
-        left = list(map(operator.sub, deficit, run_vector((row - longest) % ell, longest, ell)))
-        # shrink the row from its longest, giving each box back to its vertex
-        for p in range(longest, 0, -1):
-            yield from walk(parts + (p,), tuple(left), p)
-            left[(row - p) % ell] += 1
-        yield parts, deficit
+        p = min([cap] + [deficit[(row - 1 - j) % ell] * ell + j for j in range(ell)])
+        if p:
+            left = list(map(operator.sub, deficit, run_vector((row - p) % ell, p, ell)))
+            stack.append([parts, deficit, left, p])
+        else:
+            yield parts, deficit
+            while stack and not stack[-1][3]:
+                parts, deficit, _, _ = stack.pop()
+                yield parts, deficit
+            if not stack:
+                return
+        # shrink the top frame's row from its longest, giving each box back
+        # to its vertex, and walk the extensions by that row
+        top = stack[-1]
+        parts, deficit, left, p = top
+        top[3] = p - 1
+        cap, deficit = p, tuple(left)
+        left[(len(parts) + 1 - p) % ell] += 1
+        parts += (p,)
 
-    return walk((), target, sum(target))
 
-
-def enumerate_orbit_labels(
-    n: int, ell: int, max_count: int = DEFAULT_ENUMERATION_CAP
-) -> list[OrbitLabel]:
-    """All labels with dimension vector (1; n*delta), as :func:`_orbit_labels` lists them."""
-    if n < 0 or ell < 1:
-        raise ValueError("need n >= 0 and ell >= 1")
-    return _orbit_labels((n,) * ell, max_count)
-
-
-def _orbit_labels(main: tuple[int, ...], max_count: int) -> list[OrbitLabel]:
-    """All labels with dimension vector (1; main), sorted by
-    :meth:`OrbitLabel.sort_key`, largest first.
+def orbit_label_groups(
+    main: tuple[int, ...], max_count: int = DEFAULT_ENUMERATION_CAP
+) -> list[tuple[Partition, tuple[int, ...], list[Multipartition]]]:
+    """The labels with dimension vector (1; main), grouped by partition:
+    one (lam, deficit, fills) per admissible partition lam, largest first,
+    where deficit = main - column_residue(lam) and fills lists the
+    multipartitions nu with shifted_residue(nu) = deficit, largest first.
+    The labels (lam; nu) in this order are sorted by
+    :meth:`OrbitLabel.sort_key`, largest first, and partitions with equal
+    deficits share one fills list object.
 
     The residue equation column_residue(lam) + shifted_residue(nu) = main
     bounds lam, so the search is finite and complete.  The admissible
-    partitions are walked in the output order, and each one's deficit
-    main - column_residue(lam) is filled with chains by
-    :func:`chain_fills`, whose caps sum(main) never bind: component v of nu
-    lists the chain lengths at vertex v.  The fills come largest lengths
-    tuple first, so the labels come out sorted, without a sort, and each
-    deficit's multipartitions are listed once, however many partitions
-    leave it.
+    partitions are walked in the output order, and each one's deficit is
+    filled with chains by :func:`chain_fills`, whose caps sum(main) never
+    bind: component v of nu lists the chain lengths at vertex v.  The fills
+    come largest lengths tuple first, so the labels come out sorted,
+    without a sort, and each deficit's multipartitions are listed once,
+    however many partitions leave it.
 
-    The labels are counted before any is listed: the walk sums the fill
-    counts of the deficits (``chain_fills`` keeps one count-and-choices
+    The labels are counted before any group is built: the walk sums the
+    fill counts of the deficits (``chain_fills`` keeps one count-and-choices
     entry per state, its choices generated once and stopped past the cap,
-    and here every choice completes to labels) and
-    raises ``ValueError`` as soon as the sum passes ``max_count``.  So the
-    error is raised exactly when there are more than ``max_count`` labels
-    (``max_count`` labels are returned whole), and before a single label is
-    built.  Chains of length 1 fill any deficit, so every admissible
-    partition adds at least one label, and the walk stops within
+    and here every choice completes to labels) and raises ``ValueError`` as
+    soon as the sum passes ``max_count``.  So the error is raised exactly
+    when there are more than ``max_count`` labels (``max_count`` labels are
+    returned whole).  Chains of length 1 fill any deficit, so every
+    admissible partition adds at least one label, and the walk stops within
     ``max_count + 1`` partitions too.  The listing then reads the same
     memoized choices, so a vector under the cap is searched once.
     """
@@ -356,12 +373,19 @@ def _orbit_labels(main: tuple[int, ...], max_count: int) -> list[OrbitLabel]:
         if total > max_count:
             raise ValueError(f"enumeration exceeds the cap of {max_count}")
         walk.append((parts, deficit))
-    out: list[OrbitLabel] = []
-    for parts, deficit in walk:
-        # the walk yields weakly decreasing tuples of positive parts
-        lam = Partition._built(parts)
-        out.extend([OrbitLabel(lam, nu) for nu in fills(deficit, 0)])
-    return out
+    # the walk yields weakly decreasing tuples of positive parts
+    return [(Partition._built(parts), deficit, fills(deficit, 0)) for parts, deficit in walk]
+
+
+def enumerate_orbit_labels(
+    n: int, ell: int, max_count: int = DEFAULT_ENUMERATION_CAP
+) -> list[OrbitLabel]:
+    """All labels with dimension vector (1; n*delta): the groups of
+    :func:`orbit_label_groups`, flattened in their order."""
+    if n < 0 or ell < 1:
+        raise ValueError("need n >= 0 and ell >= 1")
+    groups = orbit_label_groups((n,) * ell, max_count)
+    return [OrbitLabel(lam, nu) for lam, _, fills in groups for nu in fills]
 
 
 def chain_counts(ell: int, caps: tuple[int, ...], target: tuple[int, ...]) -> dict:

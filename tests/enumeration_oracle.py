@@ -2,12 +2,14 @@
 all bipartitions and multipartitions, and per-label row rendering, kept as
 test oracles.
 
-``residues.enumerate_orbit_labels`` walks only the admissible partitions,
-in output order; it enters only chain remainders that
+``residues.orbit_label_groups`` walks only the admissible partitions, in
+output order, on an explicit stack; ``admissible_partitions`` is the
+recursive walk it replaced, one generator per row.  The listing enters
+only chain remainders that
 ``residues.chain_fillable`` accepts, memoizes the fills from vertex 1
 onward and shares each deficit's fills between partitions.
-``cli._cmd_enumerate`` renders each partition once per run of equal
-partitions and each shared multipartition once.  This module keeps the
+``cli._cmd_enumerate`` renders each partition once per group and each
+shared fill list once.  This module keeps the
 independent versions they replaced: a search over every partition up to
 the size bound that refills the chains from scratch for each one, tries
 every chain choice (dead ends included) and sorts the labels at the end,
@@ -39,6 +41,8 @@ Achar-Henderson bipartitions: each one's normal form
 """
 
 from __future__ import annotations
+
+import operator
 
 from nilquiver import (
     Bipartition,
@@ -118,6 +122,24 @@ def fill_with_chains(deficit: tuple[int, ...], vertex: int, ell: int):
     for acc, remaining in choices(deficit, sum(deficit), ()):
         for rest in fill_with_chains(remaining, vertex + 1, ell):
             yield (acc,) + rest
+
+
+def admissible_partitions(target: tuple[int, ...]):
+    """Yield what ``residues._admissible_partitions`` yields, in its order,
+    by the recursive walk: each row's generator yields every extension of
+    its partition, longest next row first, and then the partition itself."""
+    ell = len(target)
+
+    def walk(parts: tuple[int, ...], deficit: tuple[int, ...], cap: int):
+        row = len(parts) + 1
+        longest = min(cap, *(deficit[(row - 1 - j) % ell] * ell + j for j in range(ell)))
+        left = list(map(operator.sub, deficit, run_vector((row - longest) % ell, longest, ell)))
+        for p in range(longest, 0, -1):
+            yield from walk(parts + (p,), tuple(left), p)
+            left[(row - p) % ell] += 1
+        yield parts, deficit
+
+    return walk((), target, sum(target))
 
 
 def orbit_labels(n: int, ell: int) -> list[OrbitLabel]:

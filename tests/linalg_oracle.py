@@ -12,7 +12,8 @@ inverse read off the ``Fraction`` reduced row echelon form of [g | I].
 ``conjugate`` is the base change of ``rep_builder.conjugate`` built from
 these, as two ``Fraction`` products per arrow and one dense matvec.
 ``from_columns`` builds a matrix from its columns for the oracles that
-rank or complete a set of vectors.  ``random_invertible`` is
+rank or complete a set of vectors, and ``transpose`` gives the columns
+``dense_product`` sums over.  ``random_invertible`` is
 the draw ``random_base_change`` makes at one vertex, and
 ``rank_tested_invertible`` draws as it did before each draw was tested by
 its inverse: a singular draw is found by its rank.
@@ -36,6 +37,11 @@ def from_columns(cols: list[tuple], nrows: int) -> RationalMatrix:
     return RationalMatrix(tuple(zip(*cols)), len(cols))
 
 
+def transpose(m: RationalMatrix) -> RationalMatrix:
+    """The transpose of m, shapes with no rows or no columns included."""
+    return RationalMatrix(tuple(zip(*m.rows)) if m.nrows else ((),) * m.ncols, m.nrows)
+
+
 def dense_apply(m: RationalMatrix, vec: tuple) -> tuple:
     """m times a column vector as a sum of Fraction products over every
     pair of entries."""
@@ -48,7 +54,7 @@ def dense_product(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """a @ b as a sum of Fraction products over every pair of entries."""
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch in product")
-    cols = b.transpose().rows
+    cols = transpose(b).rows
     return RationalMatrix(
         tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.rows),
         b.ncols,

@@ -24,6 +24,7 @@ from nilquiver import (
 )
 from nilquiver import cli
 from nilquiver.cli import main
+from nilquiver.residues import orbit_label_groups
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -108,10 +109,10 @@ def test_enumerate_orbits_too_deep_exits_2(capsys):
 
 
 def test_enumerate_orbits_out_of_memory_exits_2(monkeypatch, capsys):
-    def exhausted(n, ell):
+    def exhausted(main):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "enumerate_orbit_labels", exhausted)
+    monkeypatch.setattr(cli, "orbit_label_groups", exhausted)
     assert main(["enumerate-orbits", "--n", "50", "--ell", "50"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: input too large\n")
@@ -123,7 +124,13 @@ def test_enumerate_orbits_bad_row_exits_1(monkeypatch, capsys):
     def with_stray(n, ell):
         return enumerate_orbit_labels(n, ell) + [stray]
 
-    monkeypatch.setattr(cli, "enumerate_orbit_labels", with_stray)
+    def groups_with_stray(main):
+        # the stray group carries its own fill list under the deficit of the
+        # empty partition's group, so a printer that read the fills by
+        # deficit alone would print that group's row in place of its own
+        return orbit_label_groups(main) + [(stray.lam, (1,), [stray.nu])]
+
+    monkeypatch.setattr(cli, "orbit_label_groups", groups_with_stray)
     assert main(["enumerate-orbits", "--n", "1", "--ell", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == enumerate_rows(with_stray(1, 1), 1, 1)

@@ -3,7 +3,13 @@ import random
 import time
 
 import pytest
-from enumeration_oracle import chain_allowed, fill_with_chains, orbit_labels, striped_bipartitions
+from enumeration_oracle import (
+    admissible_partitions,
+    chain_allowed,
+    fill_with_chains,
+    orbit_labels,
+    striped_bipartitions,
+)
 
 from nilquiver import (
     DimensionVector,
@@ -260,6 +266,68 @@ def test_partitions_with_one_deficit_share_their_nu_objects():
         for nus in others:
             assert len(nus) == len(first)
             assert all(a is b for a, b in zip(nus, first))
+
+
+def test_admissible_walk_matches_the_recursive_walk():
+    # every target vector with entries <= 4 at ell <= 3 and <= 2 at ell 4, 5
+    targets = [t for ell in (1, 2, 3) for t in itertools.product(range(5), repeat=ell)]
+    targets += [t for ell in (4, 5) for t in itertools.product(range(3), repeat=ell)]
+    for target in targets:
+        walked = list(residues._admissible_partitions(target))
+        assert walked == list(admissible_partitions(target)), target
+
+
+def test_orbit_label_groups_flatten_to_the_labels():
+    # each group is one admissible partition, largest first, with its
+    # deficit and the fills of that deficit; flattened, the labels
+    cones = [(ell, n) for ell in range(1, 5) for n in range(12 // ell + 1)]
+    for ell, n in cones:
+        target = (n,) * ell
+        groups = residues.orbit_label_groups(target)
+        flat = [OrbitLabel(lam, nu) for lam, _, fills in groups for nu in fills]
+        assert flat == enumerate_orbit_labels(n, ell) == orbit_labels(n, ell), (ell, n)
+        lams = [lam.parts for lam, _, _ in groups]
+        assert lams == sorted(set(lams), reverse=True), (ell, n)
+        for lam, deficit, fills in groups:
+            assert deficit == tuple(n - c for c in column_residue(lam, ell).main), (ell, n, lam)
+            assert fills and all(shifted_residue(nu, ell).main == deficit for nu in fills)
+
+
+def test_orbit_label_groups_share_one_fill_list_per_deficit():
+    # on the cones the benchmark enumerates, where fewer deficits than
+    # partitions occur
+    for ell, n in [(1, 8), (2, 4), (3, 3), (4, 2)]:
+        groups = residues.orbit_label_groups((n,) * ell)
+        lists = {}
+        for _, deficit, fills in groups:
+            assert lists.setdefault(deficit, fills) is fills, (ell, n, deficit)
+        assert len(lists) < len(groups), (ell, n)
+
+
+def test_orbit_label_groups_raise_past_the_cap_before_any_group(monkeypatch):
+    # the cap is checked on the counts: no fill list is read, so no group
+    # is built, before the error
+    read = []
+    chain_fills = residues.chain_fills
+
+    def counted_fills(*args, **kwargs):
+        tally, fills = chain_fills(*args, **kwargs)
+
+        def listed(remaining, vertex):
+            read.append((remaining, vertex))
+            return fills(remaining, vertex)
+
+        return tally, listed
+
+    monkeypatch.setattr(residues, "chain_fills", counted_fills)
+    assert len(residues.orbit_label_groups((2, 2), max_count=28)) == 12
+    assert read
+    read.clear()
+    with pytest.raises(ValueError, match="cap of 27$"):
+        residues.orbit_label_groups((2, 2), max_count=27)
+    with pytest.raises(ValueError, match="cap of 1000000$"):
+        residues.orbit_label_groups((1,) * 20)
+    assert read == []
 
 
 def test_chain_fills_share_valid_partitions():
