@@ -156,6 +156,13 @@ def _label_from_payload(fmt: str, payload: dict, ell: int | None) -> OrbitLabel:
         raise ValueError(f"{fmt} input lacks the key {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"malformed {fmt} input: {exc}") from exc
+    # the label has at most (largest marking) parts in lambda and ell in nu
+    ell, marking = (1, mu[0]) if fmt == "ah" else (ell, max(striped.nu, default=0))
+    if max(ell, marking) > RENDER_MAX_BOXES:
+        raise ValueError(
+            f"the {fmt} input has ell {ell} and largest marking {marking}; "
+            f"translate takes at most {RENDER_MAX_BOXES} of each"
+        )
     if fmt == "ah":
         eta, zeta = bipartition_to_label(mu, nu)
         return OrbitLabel(eta, Multipartition((zeta,)))
@@ -269,7 +276,9 @@ def _parse_diagram(text: str):
 #: circles: every format writes a few bytes per box, so a short argument
 #: such as "[300000000]" or a circle of that length must not buy hundreds
 #: of megabytes of output.  DOT also writes one cluster per block, so there
-#: the blocks count toward the bound too.
+#: the blocks count toward the bound too.  ``translate`` bounds the ell and
+#: the largest marking of an ``ah`` or ``johnson`` input by it, since the
+#: label it prints has up to that many parts and components.
 RENDER_MAX_BOXES = 100_000
 
 
@@ -348,10 +357,9 @@ def _cmd_selfcheck(args) -> int:
         if not ok:
             failures += 1
 
-    size_cap = min(n * ell, 12)
-    frobenius_ok = diagram_ok = True
+    frobenius_ok = diagram_ok = core_ok = True
     count = 0
-    for m in range(size_cap + 1):
+    for m in range(min(n * ell, 12) + 1):
         for lam in enumerate_partitions(m):
             count += 1
             if lam.frobenius().partition() != lam:
@@ -359,16 +367,11 @@ def _cmd_selfcheck(args) -> int:
             diagram = frobenius_diagram_of_partition(lam, ell)
             if diagram.partition() != lam or diagram.weight() != lam.weight(ell):
                 diagram_ok = False
+            if m <= 8 and from_core_quotient(*ell_quotient_core(lam, ell), ell) != lam:
+                core_ok = False
     report("frobenius-roundtrip", frobenius_ok, f"{count} partitions")
     report("diagram-roundtrip", diagram_ok)
-
-    ok = True
-    for m in range(min(size_cap, 8) + 1):
-        for lam in enumerate_partitions(m):
-            core, quotient = ell_quotient_core(lam, ell)
-            if from_core_quotient(core, quotient, ell) != lam:
-                ok = False
-    report("core-quotient-roundtrip", ok)
+    report("core-quotient-roundtrip", core_ok)
 
     report("label-count", len(labels) == cone_count(n, ell), f"{len(labels)} labels")
 

@@ -195,20 +195,32 @@ def removable_rows_cyclic(s: StripedBipartition) -> frozenset[int]:
     (c) some earlier row j has mu_j <= mu_i.
     """
     lam, eps, nu = s.lam.parts, s.epsilon, s.nu
-    k = len(lam)
     removed = set()
-    low_mu = None  # the least mu of the rows above, which (c) reads
-    for i in range(k):
-        n, m = nu[i], lam[i] - nu[i]
-        if n <= 0 or (low_mu is not None and low_mu <= m):
-            removed.add(i + 1)
+    # (b) in one pass from the bottom: the largest marking below, the kind
+    # (lam_j, epsilon_j) of a row that has it, and the largest marking below
+    # among the rows of other kinds
+    top = other = float("-inf")
+    top_kind = None
+    for i in range(len(lam) - 1, -1, -1):
+        n, kind = nu[i], (lam[i], eps[i])
+        if kind == top_kind:
+            if other >= n:
+                removed.add(i + 1)
+            if n > top:
+                top = n
         else:
-            kind = (lam[i], eps[i])
-            for j in range(i + 1, k):
-                if nu[j] >= n and (lam[j], eps[j]) != kind:
-                    removed.add(i + 1)
-                    break
-        if low_mu is None or m < low_mu:
+            if top >= n:
+                removed.add(i + 1)
+            if n > top:
+                other, top, top_kind = top, n, kind
+            elif n > other:
+                other = n
+    low_mu = float("inf")  # the least mu of the rows above, which (c) reads
+    for i in range(len(lam)):
+        m = lam[i] - nu[i]
+        if nu[i] <= 0 or low_mu <= m:
+            removed.add(i + 1)
+        if m < low_mu:
             low_mu = m
     return frozenset(removed)
 

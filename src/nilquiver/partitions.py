@@ -59,8 +59,10 @@ class Partition:
 
     def __init__(self, parts=()):
         parts = tuple(int(x) for x in parts)
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
+        end = len(parts)
+        while end and parts[end - 1] == 0:
+            end -= 1
+        parts = parts[:end]
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts not weakly decreasing: {parts}")
@@ -147,7 +149,8 @@ class Partition:
         return FrobeniusPartition._built(legs, arms)
 
     def weight(self, ell: int) -> int:
-        """Number of boxes of content divisible by ell in the first hook.
+        """Number of boxes of content divisible by ell in the first hook,
+        whose contents run from 1 - len(self) to self[0] - 1.
 
         The empty partition has weight 0.
         """
@@ -155,8 +158,7 @@ class Partition:
             raise ValueError("ell must be positive")
         if not self.parts:
             return 0
-        k = len(self.parts)
-        return sum(1 for c in range(-(k - 1), self.parts[0]) if c % ell == 0)
+        return (self.parts[0] - 1) // ell - (-len(self.parts)) // ell
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,14 +212,12 @@ class FrobeniusPartition:
         return Partition(a + b + 1 for a, b in zip(self.legs, self.arms))
 
     def partition(self) -> Partition:
-        """The partition with these Frobenius coordinates."""
-        k = len(self.legs)
-        nrows = (self.legs[0] + 1) if k else 0
-        rows = [0] * nrows
-        for i in range(k):
-            rows[i] = self.arms[i] + (i + 1)
-            for r in range(i + 1, i + 1 + self.legs[i]):
-                rows[r] += 1
+        """The partition with these Frobenius coordinates: rows arms[i-1] + i
+        down to the diagonal, and below it c boxes in each row that column c,
+        legs[c-1] + c boxes high, reaches and column c + 1 does not."""
+        rows = [arm + i for i, arm in enumerate(self.arms, 1)]
+        for i in range(len(rows), 0, -1):
+            rows += [i] * (self.legs[i - 1] + i - len(rows))
         # strictly decreasing legs and arms give positive, decreasing rows
         return Partition._built(tuple(rows))
 

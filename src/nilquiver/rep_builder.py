@@ -242,8 +242,6 @@ def build_framed_jordan(mu: Partition, nu: Partition) -> QuiverRep:
     contribute nothing)."""
     k = max(len(mu), len(nu))
     rows = [mu[i] + nu[i] for i in range(k)]
-    if any(a < b for a, b in zip(rows, rows[1:])):
-        raise ValueError("mu + nu must be weakly decreasing")
     n = sum(rows)
     entries = [[_ZERO] * n for _ in range(n)]
     fv = [_ZERO] * n

@@ -100,6 +100,8 @@ def run_vector(start: int, length: int, ell: int) -> tuple[int, ...]:
 
 def runs_vector(runs, ell: int) -> tuple[int, ...]:
     """Vertex counts of a sum of runs, each given as (start, length)."""
+    if ell < 1:
+        raise ValueError("ell must be positive")
     counts = [0] * ell
     for start, length in runs:
         for j, extra in enumerate(run_vector(start, length, ell)):
@@ -109,14 +111,12 @@ def runs_vector(runs, ell: int) -> tuple[int, ...]:
 
 def residue(lam: Partition, ell: int) -> DimensionVector:
     """Box count of lam by content mod ell: row i is the run from 1 - i."""
-    if ell < 1:
-        raise ValueError("ell must be positive")
     return DimensionVector(0, runs_vector(zip(count(0, -1), lam.parts), ell))
 
 
 def column_residue(lam: Partition, ell: int) -> DimensionVector:
-    """Box count of lam by negated content mod ell (residue of the transpose)."""
-    return residue(lam.transpose(), ell)
+    """Box count of lam by negated content mod ell: row i is the run from i - lam_i."""
+    return DimensionVector(0, runs_vector(((i - p, p) for i, p in enumerate(lam.parts, 1)), ell))
 
 
 def shifted_residue(nu: Multipartition, ell: int) -> DimensionVector:
@@ -420,6 +420,17 @@ def cone_count(n: int, ell: int) -> int:
     return sum(counts[tuple(n - c for c in r)] for r in cres if max(r) <= n)
 
 
+def _beads(lam: Partition, m: int) -> list[int]:
+    """The m >= len(lam) beta-numbers lam_i + m - 1 - i of lam, largest first."""
+    return [lam[i] + (m - 1 - i) for i in range(m)]
+
+
+def _partition_of_beads(beads: list[int]) -> Partition:
+    """The partition whose beta-numbers are the distinct, decreasing beads."""
+    m = len(beads)
+    return Partition(b - (m - 1 - i) for i, b in enumerate(beads))
+
+
 def ell_quotient_core(lam: Partition, ell: int) -> tuple[Partition, Multipartition]:
     """Core and quotient of a partition via beta-numbers on ell runners.
 
@@ -428,21 +439,13 @@ def ell_quotient_core(lam: Partition, ell: int) -> tuple[Partition, Multipartiti
     """
     if ell < 1:
         raise ValueError("ell must be positive")
-    k = max(len(lam), 1)
-    m = ell * ((k + ell - 1) // ell)
-    beta = [lam[i] + (m - 1 - i) for i in range(m)]
+    m = ell * ((max(len(lam), 1) + ell - 1) // ell)
     runners: list[list[int]] = [[] for _ in range(ell)]
-    for b in beta:
+    for b in _beads(lam, m):
         runners[b % ell].append(b // ell)
-    quotient = []
-    for positions in runners:
-        c = len(positions)
-        quotient.append(Partition(p - (c - 1 - idx) for idx, p in enumerate(positions)))
-    core_beta = sorted(
-        (ell * j + r for r in range(ell) for j in range(len(runners[r]))), reverse=True
-    )
-    core = Partition(b - (m - 1 - i) for i, b in enumerate(core_beta))
-    return core, Multipartition(tuple(quotient))
+    quotient = Multipartition(tuple(_partition_of_beads(positions) for positions in runners))
+    core = (ell * p + r for r, positions in enumerate(runners) for p in range(len(positions)))
+    return _partition_of_beads(sorted(core, reverse=True)), quotient
 
 
 def from_core_quotient(core: Partition, quotient: Multipartition, ell: int) -> Partition:
@@ -453,18 +456,12 @@ def from_core_quotient(core: Partition, quotient: Multipartition, ell: int) -> P
         raise ValueError("first argument is not an ell-core")
     rows = max(len(core), 1) + ell * (quotient.size + max(len(c) for c in quotient) + 1)
     m = ell * ((rows + ell - 1) // ell)
-    beta = [core[i] + (m - 1 - i) for i in range(m)]
     counts = [0] * ell
-    for b in beta:
+    for b in _beads(core, m):
         counts[b % ell] += 1
-    new_beta = []
-    for r in range(ell):
-        c = counts[r]
-        comp = quotient[r]
+    beads = []
+    for r, (c, comp) in enumerate(zip(counts, quotient)):
         if len(comp) > c:
             raise ValueError("quotient component too long for the bead count")
-        for idx in range(c):
-            position = comp[idx] + (c - 1 - idx)
-            new_beta.append(ell * position + r)
-    new_beta.sort(reverse=True)
-    return Partition(b - (m - 1 - i) for i, b in enumerate(new_beta))
+        beads.extend(ell * p + r for p in _beads(comp, c))
+    return _partition_of_beads(sorted(beads, reverse=True))

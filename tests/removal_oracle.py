@@ -1,4 +1,9 @@
-"""The greedy one-vertex row-removal rule, kept as a test oracle.
+"""The row-removal rules that ``orbit_maps`` replaced, kept as test oracles.
+
+``orbit_maps.removable_rows_cyclic`` reads condition (b), a later row of
+another kind marked at least as far right, in one pass from the bottom.
+This module keeps the pairwise scan it replaced, which compares each row
+with every later row.
 
 ``orbit_maps.bipartition_to_label`` reads a normal-form bipartition
 (mu; nu) as the ell = 1 striped bipartition with markings mu and deletes
@@ -9,7 +14,26 @@ the shrunken pair after each deletion, and the translation built on them.
 
 from __future__ import annotations
 
+from nilquiver import StripedBipartition
 from nilquiver.partitions import FrobeniusPartition, Partition
+
+
+def removable_rows_by_pairs(s: StripedBipartition) -> frozenset[int]:
+    """Rows (1-based) with (a) nu_i <= 0, (b) a later row j with
+    nu_j >= nu_i and (lam_j, epsilon_j) != (lam_i, epsilon_i), or (c) an
+    earlier row j with mu_j <= mu_i, each condition read pair by pair."""
+    rows = s.rows()
+    mu = s.mu
+    removed = set()
+    for i, (length, colour, mark) in enumerate(rows):
+        later = rows[i + 1:]
+        if (
+            mark <= 0
+            or any(n >= mark and (p, e) != (length, colour) for p, e, n in later)
+            or any(m <= mu[i] for m in mu[:i])
+        ):
+            removed.add(i + 1)
+    return frozenset(removed)
 
 
 def _removal_conditions(mu: list[int], nu: list[int]) -> int | None:

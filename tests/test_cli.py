@@ -273,6 +273,58 @@ def test_translate_a_huge_part_builds_no_transpose(target, want, monkeypatch, ca
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize(
+    "args, payload, message",
+    [
+        (
+            ["--from", "johnson", "--ell", "10000000"],
+            {"lambda": [], "epsilon": [], "nu": []},
+            "the johnson input has ell 10000000 and largest marking 0",
+        ),
+        (
+            ["--from", "ah"],
+            {"mu": [10000000], "nu": []},
+            "the ah input has ell 1 and largest marking 10000000",
+        ),
+        (
+            ["--from", "johnson", "--ell", "1"],
+            {"lambda": [10000000], "epsilon": [0], "nu": [10000000]},
+            "the johnson input has ell 1 and largest marking 10000000",
+        ),
+    ],
+    ids=["johnson-ell", "ah-marking", "johnson-marking"],
+)
+def test_translate_refuses_a_huge_label_at_once(args, payload, message):
+    # a short input would otherwise print a label of ell components or of
+    # (largest marking) parts: tens of megabytes
+    argv = ["translate", *args, "--to", "label", "--input", "-"]
+    code, out, err = run_cli(argv, json.dumps(payload), timeout=20)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}; translate takes at most 100000 of each\n"
+
+
+def test_translate_prints_a_label_at_the_bound(monkeypatch, capsys):
+    def translate(source, payload, *ell):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        return main(["translate", "--from", source, "--to", "label", "--input", "-", *ell])
+
+    assert translate("ah", {"mu": [100000], "nu": []}) == 0
+    assert capsys.readouterr().out == json.dumps({"lambda": [1] * 100000, "nu": [[]]}) + "\n"
+    assert translate("johnson", {"lambda": [], "epsilon": [], "nu": []}, "--ell", "100000") == 0
+    assert capsys.readouterr().out == json.dumps({"lambda": [], "nu": [[]] * 100000}) + "\n"
+    assert translate("ah", {"mu": [100001], "nu": []}) == 2
+    assert "translate takes at most 100000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source, key", [("label", "lambda"), ("ah", "mu")])
+def test_translate_cuts_many_trailing_zeros_at_once(source, key, monkeypatch, capsys):
+    # a 480 KB input whose zeros the constructor once stripped one at a time
+    payload = {key: [1] + [0] * 160000, "nu": [[]] if source == "label" else []}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert main(["translate", "--from", source, "--to", "label", "--input", "-"]) == 0
+    assert capsys.readouterr().out == '{"lambda": [1], "nu": [[]]}\n'
+
+
 def test_decompose_rejects_malformed_json():
     code, _, err = run_cli(["decompose", "--input", "-"], "{nope")
     assert code == 2

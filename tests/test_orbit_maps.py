@@ -1,13 +1,14 @@
 import collections
 import itertools
 import json
+import random
 import time
 
 import pytest
 import translation_oracle
 from enumeration_oracle import enumerate_bipartitions, fill_with_chains, striped_bipartitions
 from removal_oracle import bipartition_to_label as greedy_label
-from removal_oracle import removable_rows
+from removal_oracle import removable_rows, removable_rows_by_pairs
 
 from nilquiver import (
     CircleDiagram,
@@ -151,6 +152,38 @@ def test_removable_rows_cyclic_trivial_cases():
     # unmarked row is removable
     s = StripedBipartition(2, P([2]), (0,), (0,))
     assert removable_rows_cyclic(s) == frozenset({1})
+
+
+def test_removable_rows_cyclic_matches_the_pairwise_scan():
+    # every striped bipartition of the small cones, then seeded random
+    # striped rows of at most three lengths, so that kinds repeat among
+    # rows of other kinds, then rows of any colours and markings, which the
+    # rule reads as well
+    for n, ell in [(4, 1), (3, 2), (2, 3), (2, 4)]:
+        for s in enumerate_striped(ell, delta(ell, n)):
+            assert removable_rows_cyclic(s) == removable_rows_by_pairs(s), s
+    rng = random.Random(7)
+    repeated = 0
+    for _ in range(4000):
+        ell = rng.randint(1, 3)
+        lam = P(sorted((rng.randint(1, 3) for _ in range(rng.randint(0, 8))), reverse=True))
+        nu = tuple(rng.randint(1 - ell, p) for p in lam.parts)
+        eps = tuple((n - p) % ell for p, n in zip(lam.parts, nu))
+        try:
+            s = StripedBipartition(ell, lam, eps, nu)
+        except ValueError:
+            continue
+        kinds = len(set(zip(lam.parts, eps)))
+        repeated += 1 < kinds < len(lam)
+        assert removable_rows_cyclic(s) == removable_rows_by_pairs(s), s
+    assert repeated > 100
+    for _ in range(2000):
+        ell = rng.randint(1, 3)
+        lam = P(sorted((rng.randint(1, 3) for _ in range(rng.randint(0, 8))), reverse=True))
+        eps = tuple(rng.randrange(ell) for _ in lam.parts)
+        nu = tuple(rng.randint(1 - ell, p) for p in lam.parts)
+        s = StripedBipartition._built(ell, lam, eps, nu)
+        assert removable_rows_cyclic(s) == removable_rows_by_pairs(s), s
 
 
 def test_cyclic_shadow_of_one_vertex_translation():

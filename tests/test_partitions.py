@@ -1,3 +1,6 @@
+import itertools
+
+import partition_oracle
 import pytest
 from enumeration_oracle import enumerate_bipartitions, enumerate_multipartitions
 
@@ -48,6 +51,26 @@ def test_constructor_strips_zeros_and_validates():
         Partition([1, 2])
     with pytest.raises(ValueError):
         Partition([2, -1])
+
+
+def test_constructor_matches_the_per_zero_strip():
+    # every short sequence of parts in -1..3, with any number of trailing
+    # zeros: the one cut stores what stripping one zero at a time stored,
+    # and a bad sequence raises the same error
+    for length in range(5):
+        for head in itertools.product(range(-1, 4), repeat=length):
+            for zeros in (0, 1, 2, 7):
+                parts = head + (0,) * zeros
+                try:
+                    want = partition_oracle.checked_parts(parts)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as got:
+                        Partition(parts)
+                    assert str(got.value) == str(exc)
+                    continue
+                assert Partition(parts).parts == want
+    assert Partition([1] + [0] * 160000).parts == (1,)
+    assert Partition([0] * 100).parts == ()
 
 
 def test_indexing_is_total():
@@ -129,7 +152,8 @@ def strictly_decreasing_tuples(total_budget, max_len):
 
 
 def test_frobenius_roundtrip_from_the_coordinate_side():
-    # every valid (legs, arms) pair of small size comes from its partition
+    # every valid (legs, arms) pair of small size comes from its partition,
+    # which is the one the hooks fill box by box
     seqs = strictly_decreasing_tuples(6, 3)
     for legs in seqs:
         for arms in seqs:
@@ -138,6 +162,7 @@ def test_frobenius_roundtrip_from_the_coordinate_side():
             f = FrobeniusPartition(legs, arms)
             if f.size > 14:
                 continue
+            assert f.partition() == partition_oracle.partition_by_boxes(f)
             assert f.partition().frobenius() == f
 
 
@@ -178,6 +203,23 @@ def test_weight_formulas_agree():
             for ell in range(1, 6):
                 alt = sum(1 for i in range(-f.arms[0], f.legs[0] + 1) if i % ell == 0)
                 assert lam.weight(ell) == alt
+
+
+def test_weight_matches_the_content_loop():
+    for n in range(15):
+        for lam in enumerate_partitions(n):
+            for ell in range(1, 6):
+                assert lam.weight(ell) == partition_oracle.weight_by_contents(lam, ell)
+
+
+def test_a_huge_part_is_read_off_the_parts():
+    # contents -2..9999999 hold 3333334 multiples of 3; the two diagonal
+    # hooks have legs 2, 0 and arms 9999999, 1
+    lam = Partition([10**7, 3, 1])
+    assert lam.weight(3) == 3333334
+    f = lam.frobenius()
+    assert (f.legs, f.arms) == ((2, 0), (9999999, 1))
+    assert f.partition() == lam == partition_oracle.partition_by_boxes(f)
 
 
 def test_weight_at_ell_one():

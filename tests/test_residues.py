@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 
+import partition_oracle
 import pytest
 from enumeration_oracle import (
     admissible_partitions,
@@ -74,10 +75,22 @@ def test_residue_matches_box_oracle_and_sums_to_size():
 
 
 def test_column_residue_is_residue_of_transpose():
-    for n in range(10):
+    for n in range(15):
         for lam in enumerate_partitions(n):
-            for ell in (2, 3, 4):
+            for ell in (1, 2, 3, 4, 5):
                 assert column_residue(lam, ell) == residue(lam.transpose(), ell)
+
+
+def test_column_residue_of_a_huge_part_is_read_off_the_rows():
+    # negated contents: vertex v counts the boxes of content -v mod ell
+    lam = Partition([10**7, 3, 1])
+    assert column_residue(lam, 3).main == (3333335, 3333334, 3333335)
+    for ell in (1, 2, 3, 4, 5):
+        forward = residue(lam, ell).main
+        assert column_residue(lam, ell).main == tuple(forward[-v % ell] for v in range(ell))
+    for ell in (0, -1):
+        with pytest.raises(ValueError, match="ell must be positive"):
+            column_residue(lam, ell)
 
 
 def test_shifted_residue_examples():
@@ -383,12 +396,15 @@ def test_core_quotient_examples():
 
 
 def test_core_quotient_size_and_roundtrip():
+    # both directions agree with the bead code written out per direction
     for n in range(13):
         for lam in enumerate_partitions(n):
-            for ell in (2, 3, 4):
+            for ell in (1, 2, 3, 4):
                 core, quotient = ell_quotient_core(lam, ell)
+                assert (core, quotient) == partition_oracle.ell_quotient_core(lam, ell)
                 assert core.size + ell * quotient.size == n
                 assert from_core_quotient(core, quotient, ell) == lam
+                assert partition_oracle.from_core_quotient(core, quotient, ell) == lam
 
 
 def test_from_core_quotient_rejects_non_core():

@@ -10,11 +10,13 @@ the rows through ``StripedBipartition`` and a pairwise check of the striped
 ordering, the forward map's circles through ``FrobeniusCircleDiagram`` and
 ``CircleDiagram``, whose boxes must add up to the signature, and the
 label's partitions through ``FrobeniusPartition``, ``Partition`` and
-``Multipartition``.  Its inverse searches no fibre and shares only the
-row-removal rule ``removable_rows_cyclic`` with the library.
+``Multipartition``.  Its inverse searches no fibre, and it removes rows by
+the pairwise scan of ``removal_oracle``, not the library's one pass.
 """
 
 from __future__ import annotations
+
+from removal_oracle import removable_rows_by_pairs
 
 from nilquiver import (
     CircleDiagram,
@@ -24,7 +26,6 @@ from nilquiver import (
     StripedBipartition,
     enumerate_orbit_labels,
     frobenius_diagram_of_partition,
-    removable_rows_cyclic,
 )
 from nilquiver.circle_diagrams import FrobeniusCircleDiagram
 from nilquiver.partitions import FrobeniusPartition
@@ -53,7 +54,7 @@ def striped(ell: int, lam, epsilon, nu) -> StripedBipartition:
 def striped_to_diagrams(s: StripedBipartition):
     """The forward map's diagrams, each checked by its public constructor,
     and their boxes checked against the signature."""
-    removed = removable_rows_cyclic(s)
+    removed = removable_rows_by_pairs(s)
     plain = []
     marked = []
     for i, (length, colour, mark_col) in enumerate(s.rows(), start=1):
