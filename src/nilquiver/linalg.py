@@ -1,25 +1,23 @@
 """Exact linear algebra over the rationals.
 
 Everything in this module is exact: entries are :class:`fractions.Fraction`
-values, and ranks, matrix products and inverses run in integer arithmetic.
-Ranks come from fraction-free (Bareiss) elimination on rows cleared of
-their denominators one by one.  Every product sums only nonzero terms:
-``_terms`` lists the terms (j, x), x != 0, of each row of a matrix, and
-``_matvec`` multiplies a matrix given by those terms by a column of
-``Fraction``s, so a caller that applies one arrow many times lists its
-terms once (the decomposer does, per call; ``RationalMatrix.apply`` lists
-them per product).  Products of matrices and inverses share one private
-integer kernel: ``_common`` writes a matrix as integers over one
-denominator, ``_product`` multiplies integer matrices summing only the
-listed terms of the right factor, and ``_inverse`` runs fraction-free
-Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) to return
-(H, p) with g^-1 = H / p.  ``RationalMatrix.__matmul__`` and ``inverse``
-call the kernel and divide each result entry back into a ``Fraction``
-once; ``rep_builder``'s base changes call it directly, so a triple product
-g M g^-1 builds its ``Fraction`` entries only at the end.  ``rref`` and
-``nullspace`` (exact ``Fraction`` Gauss-Jordan reduction) have no caller
-in the package: they serve the test oracles and the benchmark's tracer,
-which wraps them by name.  There are no tolerances anywhere in the
+values, and ranks, echelon forms, products and inverses run in integer
+arithmetic.  Every product sums only nonzero terms: ``_terms`` lists the
+terms (j, x), x != 0, of each row of a matrix, and ``_matvec`` multiplies a
+matrix given by those terms by a column of ``Fraction``s, so a caller that
+applies one arrow many times lists its terms once (the decomposer does,
+per call; ``RationalMatrix.apply`` lists them per product).  One private
+integer kernel serves the rest: ``_common`` writes rows as integers over
+one denominator, ``_product`` multiplies integer matrices summing only the
+listed terms of the right factor, and ``_eliminate`` is the one
+elimination, fraction-free (Bareiss, Math. Comp. 22, 1968).  Run forward
+on rows cleared one by one, it gives the pivot columns behind ``rank`` and
+the decomposer's rank tables; run Gauss-Jordan, it gives ``rref`` and
+``_inverse``, which returns (H, p) with g^-1 = H / p.
+``RationalMatrix.__matmul__`` and ``inverse`` divide each kernel result
+entry back into a ``Fraction`` once; ``rep_builder``'s base changes call
+the kernel directly, so a triple product g M g^-1 builds its ``Fraction``
+entries only at the end.  There are no tolerances anywhere in the
 package; orbit invariants are discrete rank data and must stay that way.
 """
 
@@ -75,13 +73,6 @@ def fraction_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _cleared(row) -> tuple[list[int], int]:
-    """A row of Fractions as integer numerators over the lcm of its
-    denominators: ``row[j] == nums[j] / den``."""
-    den = lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row], den
-
-
 def _common(rows) -> tuple[list[list[int]], int]:
     """Rows of Fractions as integer numerators over one denominator e, the
     lcm of all their denominators: ``rows[i][j] == nums[i][j] / e``."""
@@ -121,28 +112,48 @@ def _product(a: list[list[int]], b: list[list[int]], ncols: int) -> list[list[in
     return out
 
 
-def _inverse(g: list[list[int]]) -> tuple[list[list[int]], int]:
-    """(H, p) with g^-1 = H / p for a square integer matrix g; a singular g
-    raises ``ValueError``.
+def _eliminate(m: list[list[int]], ncols: int, jordan: bool = False) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of the integer rows m in place,
+    pivoting on the first ncols columns from left to right; returns the
+    pivot columns and the last pivot (1 when there is none).
 
-    Fraction-free Gauss-Jordan elimination on [g | I] divides exactly at
-    every step and ends at [p I | H], p the last pivot (det g up to sign)."""
+    Each step divides exactly by the pivot before it, so every entry stays
+    an integer minor of the input.  Forward elimination clears the rows
+    below each pivot, and rows past the rank end at zero.  With ``jordan``
+    the rows above are cleared too and rescaled to the new pivot, so
+    [g | I], g invertible, ends at [p I | H], p = det g up to sign."""
+    nrows = len(m)
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        mr = m[r]
+        lead = mr[c]
+        for i in range(0 if jordan else r + 1, nrows):
+            head = m[i][c]
+            if i != r and (head or lead != prev):
+                m[i] = [(a * lead - head * b) // prev for a, b in zip(m[i], mr)]
+        prev = lead
+        pivots.append(c)
+    return pivots, prev
+
+
+def _inverse(g: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(H, p) with g^-1 = H / p for a square integer matrix g, read off the
+    Gauss-Jordan ``_eliminate`` of [g | I]; a singular g raises
+    ``ValueError``."""
     n = len(g)
     m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
-    prev = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        m[k], m[pivot] = m[pivot], m[k]
-        mk = m[k]
-        lead = mk[k]
-        for i in range(n):
-            head = m[i][k]
-            if i != k and (head or lead != prev):
-                m[i] = [(a * lead - head * b) // prev for a, b in zip(m[i], mk)]
-        prev = lead
-    return [row[n:] for row in m], prev
+    pivots, p = _eliminate(m, n, jordan=True)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in m], p
 
 
 class RationalMatrix:
@@ -241,55 +252,22 @@ class RationalMatrix:
         return len(self.pivot_columns())
 
     def pivot_columns(self) -> list[int]:
-        """Pivot columns of fraction-free (Bareiss) elimination on cleared
-        rows, left to right: each is independent of the columns before it,
-        so the pivots among the first k columns count their rank."""
-        if self.nrows == 0 or self.ncols == 0:
-            return []
-        m = [_cleared(row)[0] for row in self.rows]
-        nrows, ncols = self.nrows, self.ncols
-        pivots: list[int] = []
-        r = 0
-        prev = 1
-        for c in range(ncols):
-            pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            for i in range(r + 1, nrows):
-                if all(x == 0 for x in m[i]):
-                    continue
-                head = m[i][c]
-                lead = m[r][c]
-                mi, mr = m[i], m[r]
-                for j in range(ncols):
-                    mi[j] = (mi[j] * lead - head * mr[j]) // prev
-            prev = m[r][c]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return pivots
+        """Pivot columns of forward ``_eliminate`` on the rows, each cleared
+        of its denominators, left to right: each is independent of the
+        columns before it, so the pivots among the first k columns count
+        their rank."""
+        m = [_common((row,))[0][0] for row in self.rows]
+        return _eliminate(m, self.ncols)[0]
 
     def rref(self) -> tuple[list[int], list[list[Fraction]]]:
-        """Reduced row echelon form; returns (pivot columns, reduced rows)."""
-        m = [list(row) for row in self.rows]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = 1 / Fraction(m[r][c])
-            m[r] = [inv * x for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return pivots, m
+        """Reduced row echelon form; returns (pivot columns, reduced rows).
+
+        Gauss-Jordan ``_eliminate`` on the cleared rows, each pivot row then
+        divided by its pivot; rows past the rank are ``Fraction(0)`` rows."""
+        m = [_common((row,))[0][0] for row in self.rows]
+        pivots, _ = _eliminate(m, self.ncols, jordan=True)
+        reduced = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+        return pivots, reduced + [[_ZERO] * self.ncols for _ in m[len(pivots):]]
 
     def inverse(self) -> "RationalMatrix":
         if self.nrows != self.ncols:

@@ -362,9 +362,15 @@ def orbit_label_groups(
     returned whole).  Chains of length 1 fill any deficit, so every
     admissible partition adds at least one label, and the walk stops within
     ``max_count + 1`` partitions too.  The listing then reads the same
-    memoized choices, so a vector under the cap is searched once.
+    memoized choices, so a vector under the cap is searched once.  The
+    zero vector has the one label ((); (empty, ..., empty)), returned
+    without a search that would nest once per vertex.
     """
     ell = len(main)
+    if not any(main):
+        if max_count < 1:
+            raise ValueError(f"enumeration exceeds the cap of {max_count}")
+        return [(Partition._built(()), main, [Multipartition.empty(ell)])]
     tally, fills = chain_fills(ell, (sum(main),) * ell, max_count)
     walk = []
     total = 0

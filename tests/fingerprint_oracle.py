@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from linalg_oracle import from_columns
+from linalg_oracle import fraction_nullspace, from_columns
 
 from nilquiver import (
     CircleDiagram,
@@ -115,7 +115,8 @@ class _HomProbing:
     def _kernel(self, start: int, length: int) -> list[tuple]:
         key = (start, length)
         if key not in self._kernels:
-            self._kernels[key] = self.paths.path(start, length).nullspace()
+            path = self.paths.path(start, length)
+            self._kernels[key] = fraction_nullspace(path.rows, path.ncols)
         return self._kernels[key]
 
     def chain_hom(self, start: int, length: int) -> int:

@@ -6,14 +6,15 @@ a vector v and a nilpotent matrix x off ``decompose_enhanced`` and
 replaced: mu is the Jordan type of x on the span Z(x)v of v under the
 centralizer of x, and nu the type of the induced map on the quotient, each
 read from the ranks of powers, with the centralizer as a ``Fraction``
-nullspace and the quotient from a reduced row echelon form.
+nullspace and the quotient from a reduced row echelon form, both from
+``linalg_oracle.fraction_rref``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from linalg_oracle import from_columns
+from linalg_oracle import fraction_nullspace, fraction_rref, from_columns
 
 from nilquiver import Bipartition, Partition
 from nilquiver.linalg import RationalMatrix
@@ -55,7 +56,7 @@ def centralizer_basis(x: RationalMatrix) -> list[RationalMatrix]:
                 coeff[s * n + c] += x.entry(r, s)
                 coeff[r * n + s] -= x.entry(s, c)
             rows.append(tuple(coeff))
-    basis = RationalMatrix(tuple(rows), n * n).nullspace()
+    basis = fraction_nullspace(rows, n * n)
     return [
         RationalMatrix(tuple(tuple(vec[r * n + c] for c in range(n)) for r in range(n)), n)
         for vec in basis
@@ -71,7 +72,7 @@ def _split_by_subspace(x: RationalMatrix, spanning: list[tuple]) -> tuple[Ration
     n = x.nrows
     if not spanning:
         return RationalMatrix((), 0), x
-    pivots, reduced = RationalMatrix(tuple(spanning), n).rref()
+    pivots, reduced = fraction_rref(spanning, n)
     basis = [tuple(reduced[r]) for r in range(len(pivots))]
     r = len(basis)
     pivot_set = set(pivots)

@@ -1,28 +1,73 @@
-"""The dense ``Fraction`` product, matvec and inverse routes, kept as test
-oracles.
+"""The ``Fraction`` echelon form and the dense ``Fraction`` product, matvec
+and inverse routes, kept as test oracles.
 
-``RationalMatrix.__matmul__`` and ``RationalMatrix.inverse`` run in integer
-arithmetic on rows cleared of their denominators, and ``rep_builder``'s
-base changes form each arrow as one integer triple product on the same
-kernel; ``RationalMatrix.apply`` and the decomposer's matrix-vector
-products sum only the nonzero terms of each row (``linalg._matvec``).
-This module keeps the routes they replaced: the dense product and the
-dense matvec that sum every ``Fraction`` pair, zeros included, and the
+``linalg`` runs every rank, echelon form and inverse through one
+fraction-free integer elimination (``linalg._eliminate``), and products
+through one integer kernel; ``rep_builder``'s base changes form each arrow
+as one integer triple product on that kernel; ``RationalMatrix.apply`` and
+the decomposer's matrix-vector products sum only the nonzero terms of each
+row (``linalg._matvec``).  This module keeps the routes they replaced:
+``fraction_rref``, the ``Fraction`` Gauss-Jordan reduction that
+``RationalMatrix.rref`` ran before it read the echelon form off the integer
+elimination, with ``fraction_nullspace`` read off it; the dense product and
+the dense matvec that sum every ``Fraction`` pair, zeros included; and the
 inverse read off the ``Fraction`` reduced row echelon form of [g | I].
-``conjugate`` is the base change of ``rep_builder.conjugate`` built from
-these, as two ``Fraction`` products per arrow and one dense matvec.
-``from_columns`` builds a matrix from its columns for the oracles that
-rank or complete a set of vectors, and ``transpose`` gives the columns
-``dense_product`` sums over.  ``random_invertible`` is
-the draw ``random_base_change`` makes at one vertex, and
-``rank_tested_invertible`` draws as it did before each draw was tested by
-its inverse: a singular draw is found by its rank.
+Every oracle that needs an echelon form or a kernel independent of
+``linalg`` reads these.  ``conjugate`` is the base change of
+``rep_builder.conjugate`` built from these, as two ``Fraction`` products
+per arrow and one dense matvec.  ``from_columns`` builds a matrix from its
+columns for the oracles that rank or complete a set of vectors, and
+``transpose`` gives the columns ``dense_product`` sums over.
+``random_invertible`` is the draw ``random_base_change`` makes at one
+vertex, and ``rank_tested_invertible`` draws as it did before each draw
+was tested by its inverse: a singular draw is found by its
+``fraction_rref`` rank.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from nilquiver.linalg import RationalMatrix
 from nilquiver.rep_builder import QuiverRep, _invertible_draw
+
+
+def fraction_rref(rows, ncols: int) -> tuple[list[int], list[list[Fraction]]]:
+    """Reduced row echelon form of the rows by ``Fraction`` Gauss-Jordan
+    elimination; returns (pivot columns, reduced rows)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / Fraction(m[r][c])
+        m[r] = [inv * x for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, m
+
+
+def fraction_nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
+    """A basis of the right kernel of the rows, read off ``fraction_rref``:
+    one tuple per free column."""
+    pivots, m = fraction_rref(rows, ncols)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -m[r][fc]
+        basis.append(tuple(vec))
+    return basis
 
 
 def hstack(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -68,7 +113,7 @@ def rref_inverse(g: RationalMatrix) -> RationalMatrix:
     n = g.nrows
     if n == 0:
         return RationalMatrix((), 0)
-    pivots, m = hstack(g, RationalMatrix.identity(n)).rref()
+    pivots, m = fraction_rref(hstack(g, RationalMatrix.identity(n)).rows, 2 * n)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return RationalMatrix(tuple(tuple(row[n:]) for row in m), n)
@@ -87,12 +132,12 @@ def conjugate(rep: QuiverRep, transforms: list[RationalMatrix]) -> QuiverRep:
 
 def rank_tested_invertible(n: int, rng) -> RationalMatrix:
     """A random invertible matrix with entries in [-2, 2], redrawn while its
-    rank is below n."""
+    ``fraction_rref`` rank is below n."""
     if n == 0:
         return RationalMatrix.zero(0, 0)
     while True:
         m = RationalMatrix(tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)), n)
-        if m.rank() == n:
+        if len(fraction_rref(m.rows, n)[0]) == n:
             return m
 
 

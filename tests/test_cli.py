@@ -108,6 +108,22 @@ def test_enumerate_orbits_too_deep_exits_2(capsys):
     assert captured.err == "error: input too large: maximum recursion depth exceeded\n"
 
 
+def test_the_zero_cone_has_its_one_label_at_any_ell(capsys):
+    # the zero vector skips the fill search, which nests once per vertex:
+    # 2000 vertices list ((); (empty, ..., empty)), and the cap still holds
+    ell = 2000
+    label = OrbitLabel(Partition(), Multipartition.empty(ell))
+    assert enumerate_orbit_labels(0, ell) == [label]
+    with pytest.raises(ValueError, match="enumeration exceeds the cap of 0"):
+        orbit_label_groups((0,) * ell, max_count=0)
+    assert main(["enumerate-orbits", "--n", "0", "--ell", str(ell)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].endswith(" [ok]") and lines[1] == "total: 1"
+    assert main(["selfcheck", "--n", "0", "--ell", str(ell)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 5 and "FAIL" not in out
+
+
 def test_enumerate_orbits_out_of_memory_exits_2(monkeypatch, capsys):
     def exhausted(main):
         raise MemoryError

