@@ -51,8 +51,9 @@ from .rep_type import classify, tits_form, wildness_witness
 
 
 def _read_payload(path: str, parse=json.loads):
-    """Parse the file at ``path`` (``-`` for stdin); an unreadable file or
-    malformed JSON raises ValueError."""
+    """Parse the file at ``path`` (``-`` for stdin); an unreadable file,
+    malformed JSON or JSON nested past the decoder's recursion limit raises
+    ValueError."""
     try:
         if path == "-":
             return parse(sys.stdin.read())
@@ -60,7 +61,7 @@ def _read_payload(path: str, parse=json.loads):
             return parse(handle.read())
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"input is not valid JSON: {exc}") from exc
 
 
@@ -73,18 +74,25 @@ def _cmd_enumerate(args) -> int:
     if args.n < 0 or args.ell < 1 or (args.x is not None and args.x < 1):
         raise ValueError("need n >= 0, ell >= 1 and x >= 1")
     ell = args.ell
+    _check_ell(ell, "enumerate-orbits")
     target = delta(ell, args.n).main
     groups = orbit_label_groups(target)
     if args.x is not None:
         groups = [group for group in groups if group[0].weight(ell) <= args.x]
     ok = f"dims={DimensionVector(1, target)}  [ok]\n"
-    # the text, chains and chain vector of each component are built once
-    # per (vertex, parts) and joined once per multipartition of a fill list
+    # the text, chains and chain vector of each nonempty component are
+    # built once per (vertex, parts) and joined once per multipartition of
+    # a fill list; an empty component adds its text alone, so a row costs
+    # its nonempty components, not ell
     components: dict[tuple[int, tuple[int, ...]], tuple[str, str, tuple[int, ...]]] = {}
+    empty = str(Partition())
 
     def columns(nu: Multipartition) -> tuple[str, str, tuple[int, ...]]:
         texts, plain, vector = [], [], (0,) * ell
         for i, comp in enumerate(nu):
+            if not comp:
+                texts.append(empty)
+                continue
             key = (i, comp.parts)
             if key not in components:
                 components[key] = (
@@ -94,15 +102,13 @@ def _cmd_enumerate(args) -> int:
                 )
             text, chains, summand = components[key]
             texts.append(text)
-            if chains:
-                plain.append(chains)
+            plain.append(chains)
             vector = tuple(map(operator.add, vector, summand))
         return ",".join(texts), ",".join(plain) or "-", vector
 
     # each fill list's columns, built once per deficit: partitions with one
-    # deficit share its fill list, and the entry holds the list it was
-    # built from, so a group that carries another list builds its own
-    fill_columns: dict[tuple[int, ...], tuple[list, list]] = {}
+    # deficit share its fill list
+    fill_columns: dict[tuple[int, ...], list] = {}
     rows = []
     bad = 0
     # each partition's text, marked diagram and column residue, once per group
@@ -112,10 +118,9 @@ def _cmd_enumerate(args) -> int:
         cres = column_residue(lam, ell).main
         head = f"label=({lam};("
         middle = f"))  marked=[{marked}]  plain=["
-        entry = fill_columns.get(deficit)
-        if entry is None or entry[0] is not fills:
-            entry = fill_columns[deficit] = (fills, [columns(nu) for nu in fills])
-        for text, plain, vector in entry[1]:
+        if deficit not in fill_columns:
+            fill_columns[deficit] = [columns(nu) for nu in fills]
+        for text, plain, vector in fill_columns[deficit]:
             main = tuple(map(operator.add, cres, vector))
             if main == target:
                 tail = ok
@@ -278,8 +283,17 @@ def _parse_diagram(text: str):
 #: of megabytes of output.  DOT also writes one cluster per block, so there
 #: the blocks count toward the bound too.  ``translate`` bounds the ell and
 #: the largest marking of an ``ah`` or ``johnson`` input by it, since the
-#: label it prints has up to that many parts and components.
+#: label it prints has up to that many parts and components, and
+#: ``enumerate-orbits`` and ``selfcheck`` bound the ell of a cone by it,
+#: since each of its labels has one component per vertex.
 RENDER_MAX_BOXES = 100_000
+
+
+def _check_ell(ell: int, command: str) -> None:
+    """Refuse a cone's ell past :data:`RENDER_MAX_BOXES` before any vector
+    of ell entries is built."""
+    if ell > RENDER_MAX_BOXES:
+        raise ValueError(f"the cone has ell {ell}; {command} takes at most {RENDER_MAX_BOXES}")
 
 
 def _check_render_size(what: str, boxes: int, ell: int | None, fmt: str) -> None:
@@ -346,6 +360,7 @@ def _cmd_selfcheck(args) -> int:
     n, ell = args.n, args.ell
     if n < 0 or ell < 1:
         raise ValueError("need n >= 0 and ell >= 1")
+    _check_ell(ell, "selfcheck")
     labels = enumerate_orbit_labels(n, ell, max_count=SELFCHECK_MAX_LABELS)
     failures = 0
 
@@ -502,11 +517,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # the orbit enumeration nests once per vertex, so a cone of
-        # thousands of vertices runs out of stack
-        print("error: input too large: maximum recursion depth exceeded", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: input too large", file=sys.stderr)

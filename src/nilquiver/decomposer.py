@@ -149,14 +149,14 @@ def _chain_counts(main: tuple[int, ...], ranks: list[list[int]]) -> Counter:
     """Chain multiplicities from the path ranks (``ranks[i][L]``, zero past
     the end of the row) of a nilpotent representation with dimension vector
     ``main``."""
-    ell = len(main)
+    ell, top = len(main), sum(main)
 
     def rank(i: int, length: int) -> int:
         return ranks[i][length] if length < len(ranks[i]) else 0
 
     mult: Counter = Counter()
     for i in range(ell):
-        for length in range(1, sum(main) + 1):
+        for length in range(1, top + 1):
             m = (
                 rank(i, length - 1)
                 - rank(i, length)

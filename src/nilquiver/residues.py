@@ -218,7 +218,9 @@ def chain_fills(ell: int, caps: tuple[int, ...], max_count: int = DEFAULT_ENUMER
     entered can be completed; a cap below the lengths that would complete
     it only leaves its fill list empty.  All copies of one length are taken
     in one loop, so the search nests once per distinct length, never once
-    per chain.
+    per chain.  A zero remainder has exactly one fill, no chain at any later
+    vertex: ``tally`` and ``fills`` answer it without a choice or a nested
+    call, so the search stops at the vertex where the remainder runs out.
 
     Each state (remainder, vertex) has one ``(count, choices)`` entry,
     written by ``tally``, which generates the state's choices, pairs (chain
@@ -229,12 +231,12 @@ def chain_fills(ell: int, caps: tuple[int, ...], max_count: int = DEFAULT_ENUMER
     complete to no fill, and only the number of choices tried bounds the
     work.  ``fills`` raises ``ValueError`` from the state's count past
     ``max_count``, else builds the list from the recorded choices,
-    memoized per state; from vertex 0 it returns ``Multipartition``
-    objects.
+    memoized per state (a zero remainder's one fill too); from vertex 0 it
+    returns ``Multipartition`` objects.
     """
-    done = ((0,) * ell, ell)
-    tallies: dict[tuple[tuple[int, ...], int], tuple[int, list]] = {done: (1, [])}
-    tails: dict[tuple[tuple[int, ...], int], list] = {done: [()]}
+    empty = Partition._built(())
+    tallies: dict[tuple[tuple[int, ...], int], tuple[int, list]] = {}
+    tails: dict[tuple[tuple[int, ...], int], list] = {}
     steps: dict[tuple[int, int], tuple[int, ...]] = {}  # run_vector(vertex, length, ell)
 
     def collect(vertex, remaining, total, cap, acc):
@@ -259,6 +261,8 @@ def chain_fills(ell: int, caps: tuple[int, ...], max_count: int = DEFAULT_ENUMER
             yield Partition._built(acc), remaining
 
     def tally(remaining: tuple[int, ...], vertex: int) -> int:
+        if not any(remaining):
+            return 1
         entry = tallies.get((remaining, vertex))
         if entry is None:
             found = 0
@@ -277,8 +281,9 @@ def chain_fills(ell: int, caps: tuple[int, ...], max_count: int = DEFAULT_ENUMER
         if found is None:
             if tally(remaining, vertex) > max_count:
                 raise ValueError(f"enumeration exceeds the cap of {max_count}")
-            found = []
-            for lengths, rest in tallies[(remaining, vertex)][1]:
+            found = [] if any(remaining) else [(empty,) * (ell - vertex)]
+            # a zero remainder has no entry, so no choices
+            for lengths, rest in tallies.get((remaining, vertex), (1, ()))[1]:
                 head = (lengths,)
                 found.extend([head + tail for tail in fills(rest, vertex + 1)])
             if not vertex:
@@ -362,15 +367,25 @@ def orbit_label_groups(
     returned whole).  Chains of length 1 fill any deficit, so every
     admissible partition adds at least one label, and the walk stops within
     ``max_count + 1`` partitions too.  The listing then reads the same
-    memoized choices, so a vector under the cap is searched once.  The
-    zero vector has the one label ((); (empty, ..., empty)), returned
-    without a search that would nest once per vertex.
+    memoized choices, so a vector under the cap is searched once.
+
+    Before any search, a vector with every entry at least 1 raises the same
+    ``ValueError`` when ``ell >= max_count.bit_length()``, for it has at
+    least 2**(ell+1) - 2 > max_count labels.  Take main = delta first.  A
+    column residue at most delta puts at most one box on each vertex, so
+    lam is empty or a hook of some size s <= ell, and there are s hooks of
+    size s.  The hook covers an arc of s vertices, and nu tiles the other
+    ell - s with runs: 2**(ell-s-1) ways when that arc is not empty, 1 way
+    when it is, and 2**ell - 1 ways (a nonempty set of run starts) round
+    the whole cycle when lam is empty.  These sum to 2**ell - 1 + (2**ell
+    - ell - 1) + ell = 2**(ell+1) - 2.  Adding main - delta chains of
+    length 1 is an injection from the labels of delta into those of main.
+    So the search, which nests once per vertex, only runs at ell < 20 on
+    such a vector under the default cap.
     """
     ell = len(main)
-    if not any(main):
-        if max_count < 1:
-            raise ValueError(f"enumeration exceeds the cap of {max_count}")
-        return [(Partition._built(()), main, [Multipartition.empty(ell)])]
+    if min(main) >= 1 and ell >= max_count.bit_length():
+        raise ValueError(f"enumeration exceeds the cap of {max_count}")
     tally, fills = chain_fills(ell, (sum(main),) * ell, max_count)
     walk = []
     total = 0

@@ -179,8 +179,12 @@ def test_weight_filtered_bijection():
 
 
 def test_bounded_circle_diagrams_against_tiling_oracle():
-    # the oracle's circle list is filtered by the same two predicates
-    for ell, main in [(1, (3,)), (2, (2, 1)), (3, (1, 1, 1)), (2, (2, 2)), (3, (2, 2, 2))]:
+    # the oracle's circle list is filtered by the same two predicates; the
+    # zero entries make the search meet zero remainders before the last
+    # vertex, where the caps also bind
+    cases = [(1, (3,)), (2, (2, 1)), (3, (1, 1, 1)), (2, (2, 2)), (3, (2, 2, 2))]
+    cases += [(1, (0,)), (3, (0, 0, 0)), (3, (2, 0, 0)), (3, (1, 0, 2)), (4, (0, 2, 0, 1))]
+    for ell, main in cases:
         d = DimensionVector(0, main)
         total = sum(main)
         for max_length in (None, *range(1, total + 1)):

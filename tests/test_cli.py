@@ -92,8 +92,8 @@ def test_enumerate_orbits_over_the_cap_exits_2():
 
 
 def test_enumerate_orbits_of_many_vertices_exits_2_with_the_cap(capsys):
-    # 900 vertices nest 900 deep in the fill search, and its choices are
-    # generated lazily: the cap message, not the recursion limit
+    # delta at 900 vertices has 2**901 - 2 labels, so the count bound
+    # refuses it before any search: the cap message, not the recursion limit
     assert main(["enumerate-orbits", "--n", "1", "--ell", "900"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -101,16 +101,18 @@ def test_enumerate_orbits_of_many_vertices_exits_2_with_the_cap(capsys):
 
 
 def test_enumerate_orbits_too_deep_exits_2(capsys):
-    # a cone of 2000 vertices: a message, not a RecursionError traceback
+    # a cone of 2000 vertices, past any stack the fill search could nest
+    # through: the count bound gives the cap message before any search
     assert main(["enumerate-orbits", "--n", "1", "--ell", "2000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: input too large: maximum recursion depth exceeded\n"
+    assert captured.err == "error: enumeration exceeds the cap of 1000000\n"
 
 
 def test_the_zero_cone_has_its_one_label_at_any_ell(capsys):
-    # the zero vector skips the fill search, which nests once per vertex:
-    # 2000 vertices list ((); (empty, ..., empty)), and the cap still holds
+    # a zero remainder has one fill, found without nesting once per
+    # vertex: 2000 vertices list ((); (empty, ..., empty)), and the cap
+    # still holds
     ell = 2000
     label = OrbitLabel(Partition(), Multipartition.empty(ell))
     assert enumerate_orbit_labels(0, ell) == [label]
@@ -141,10 +143,9 @@ def test_enumerate_orbits_bad_row_exits_1(monkeypatch, capsys):
         return enumerate_orbit_labels(n, ell) + [stray]
 
     def groups_with_stray(main):
-        # the stray group carries its own fill list under the deficit of the
-        # empty partition's group, so a printer that read the fills by
-        # deficit alone would print that group's row in place of its own
-        return orbit_label_groups(main) + [(stray.lam, (1,), [stray.nu])]
+        # the stray group carries its partition's own deficit, 1 - 2, with a
+        # fill list of the wrong residue, which no other group shares
+        return orbit_label_groups(main) + [(stray.lam, (-1,), [stray.nu])]
 
     monkeypatch.setattr(cli, "orbit_label_groups", groups_with_stray)
     assert main(["enumerate-orbits", "--n", "1", "--ell", "1"]) == 1
@@ -344,6 +345,23 @@ def test_translate_cuts_many_trailing_zeros_at_once(source, key, monkeypatch, ca
 def test_decompose_rejects_malformed_json():
     code, _, err = run_cli(["decompose", "--input", "-"], "{nope")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["decompose", "--input", "-"],
+        ["translate", "--from", "label", "--to", "ah", "--input", "-"],
+        ["render", "--diagram", "-"],
+    ],
+    ids=["decompose", "translate", "render"],
+)
+def test_deeply_nested_json_exits_2(command):
+    # the JSON decoder's nesting limit is one more way JSON is invalid here
+    code, out, err = run_cli(command, "[" * 200_000, timeout=FAST_REFUSAL_S)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: input is not valid JSON") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_decompose_rejects_missing_keys():
@@ -704,7 +722,7 @@ SELFCHECK_CAP = f"error: enumeration exceeds the cap of {cli.SELFCHECK_MAX_LABEL
     "n, ell, message",
     [
         (2, 900, SELFCHECK_CAP),
-        (1000, 1000, "error: input too large: maximum recursion depth exceeded\n"),
+        (1000, 1000, SELFCHECK_CAP),  # refused by the count bound, before any search
         (6, 3, SELFCHECK_CAP),  # 86,036 labels, under the enumeration cap
     ],
     ids=["many-vertices", "too-deep", "over-the-bound"],
@@ -727,6 +745,24 @@ def test_a_huge_n_reaches_the_cap_at_once(command, message):
     args = [command, "--n", "100000000", "--ell", "1"]
     code, out, err = run_cli(args, timeout=FAST_REFUSAL_S)
     assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("command", ["enumerate-orbits", "selfcheck"])
+@pytest.mark.parametrize("n, ell", [(0, 100_001), (1, 10**8)])
+def test_an_ell_past_the_bound_is_refused_at_once(command, n, ell):
+    # refused before a vector of ell entries is built
+    code, out, err = run_cli([command, "--n", str(n), "--ell", str(ell)], timeout=FAST_REFUSAL_S)
+    assert (code, out) == (2, "")
+    assert err == f"error: the cone has ell {ell}; {command} takes at most 100000\n"
+
+
+def test_the_zero_cone_at_the_ell_bound_lists_its_label_fast():
+    # each row costs its nonempty components, not ell
+    args = ["enumerate-orbits", "--n", "0", "--ell", "100000"]
+    code, out, err = run_cli(args, timeout=FAST_REFUSAL_S)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[0].endswith(" [ok]") and lines[1] == "total: 1"
 
 
 def test_selfcheck_admits_a_cone_at_the_bound(monkeypatch, capsys):

@@ -265,6 +265,19 @@ def test_enumerate_orbit_labels_counts_before_listing(monkeypatch):
     assert built == []
 
 
+def test_the_count_bound_is_exact_at_its_edge():
+    # delta has 2**(ell+1) - 2 labels, the count orbit_label_groups refuses
+    # on before any search; the knapsack count shares no code with it
+    for ell in range(1, 9):
+        count = 2 ** (ell + 1) - 2
+        assert cone_count(1, ell) == count, ell
+        groups = residues.orbit_label_groups((1,) * ell, max_count=count)
+        flat = [OrbitLabel(lam, nu) for lam, _, fills in groups for nu in fills]
+        assert flat == orbit_labels(1, ell), ell
+        with pytest.raises(ValueError, match=f"cap of {count - 1}$"):
+            residues.orbit_label_groups((1,) * ell, max_count=count - 1)
+
+
 def test_partitions_with_one_deficit_share_their_nu_objects():
     # each deficit's multipartitions are listed once, by the fills memo, and
     # every partition that leaves that deficit holds those same objects
